@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .numerics import HessianError, erfc, numerical_hessian
-from .phase_kernel import TwoPhaseParams
+from .phase_kernel import TwoPhaseParams, _coeffs
 
 __all__ = [
     "DegenerateSampleError",
@@ -165,11 +165,9 @@ def _loglik_terms(p: TwoPhaseParams, x: np.ndarray, t: float) -> np.ndarray:
     """
     s1 = p.sigma1 * math.sqrt(t)
     s2 = p.sigma2 * math.sqrt(t)
-    refl = (p.sigma2 - p.sigma1) / (p.sigma1 + p.sigma2)
+    a1, a2, refl, c1, c2 = _coeffs(p)
     out = np.empty_like(x)
     if p.q > 0:
-        a1 = 2.0 * p.sigma1 / (p.sigma1 + p.sigma2)
-        c1 = 1.0 - p.sigma1 / p.sigma2
         hi = x >= p.q
         out[hi] = (
             math.log(a1)
@@ -187,8 +185,6 @@ def _loglik_terms(p: TwoPhaseParams, x: np.ndarray, t: float) -> np.ndarray:
             - _LOG_SQRT_2PI
         )
     else:
-        a2 = 2.0 * p.sigma2 / (p.sigma1 + p.sigma2)
-        c2 = 1.0 - p.sigma2 / p.sigma1
         lo = x < p.q
         out[lo] = (
             math.log(a2)
@@ -286,18 +282,15 @@ def _gradient(fn, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
 
 def _newton_polish(
     fn, theta: np.ndarray, tol: float, q_positive: bool
-) -> tuple[np.ndarray, bool, int]:
+) -> tuple[np.ndarray, bool]:
     """Damped Newton descent restricted to the q-sign branch of the start."""
     theta = theta.copy()
     f_cur = fn(theta)
-    evals = 1
     converged = False
     for _ in range(50):
         grad = _gradient(fn, theta)
-        evals += 6
         try:
             hess = numerical_hessian(fn, theta)
-            evals += 25
             delta = np.linalg.solve(hess, -grad)
         except (HessianError, np.linalg.LinAlgError):
             delta = -grad
@@ -312,7 +305,6 @@ def _newton_polish(
             else:
                 cand[2] = min(cand[2], 0.0)
             f_new = fn(cand)
-            evals += 1
             if f_new < f_cur:
                 step_size = float(np.max(np.abs(cand - theta)))
                 theta, f_prev, f_cur = cand, f_cur, f_new
@@ -325,7 +317,7 @@ def _newton_polish(
             if not improved:
                 converged = True  # local stationarity: no descent direction left
             break
-    return theta, converged, evals
+    return theta, converged
 
 
 def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitReport:
@@ -336,31 +328,37 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     errors come from the observed information (numerical Hessian) with the
     delta method mapping log-scale variances back to sigma; they are flagged
     approximate when q_hat sits within 1e-6 of a data point, where the
-    likelihood has a kink.
+    likelihood has a kink.  The sample is sorted once (the likelihood ignores
+    order, so a permutation gives an identical report); n_evaluations counts
+    every objective call, the final one and the standard-error Hessian's too.
     """
     cfg = config or FitConfig()
     if sample.size < 10:
         raise DegenerateSampleError(
             f"need at least 10 observations to fit, got {sample.size}"
         )
-    x = sample.values.astype(float)
-    demeaned = False
-    if cfg.demean:
+    x = np.sort(sample.values)
+    demeaned = cfg.demean
+    if demeaned:
         x = x - x.mean()
-        demeaned = True
-        sample = ReturnSample(x, t=sample.t, unit=sample.unit, label=sample.label)
+    sample = ReturnSample(x, t=sample.t, unit=sample.unit, label=sample.label)
 
     sigma_null, loglik_null = fit_normal_null(sample)
     se_sigma_null = sigma_null / math.sqrt(2.0 * sample.size)
 
-    fn = lambda theta: _neg_loglik_theta(theta, x, sample.t)
+    n_evaluations = 0
+
+    def fn(theta: np.ndarray) -> float:
+        nonlocal n_evaluations
+        n_evaluations += 1
+        return _neg_loglik_theta(theta, x, sample.t)
+
     log_s = math.log(sigma_null)
     width = sigma_null * math.sqrt(sample.t)
     q_starts = [width, -width, 2.0 * width, -2.0 * width, -1e-12 * width]
     starts = [np.array([log_s, log_s, q0]) for q0 in q_starts[: cfg.n_starts]]
 
     best = None
-    n_evaluations = 0
     nm_converged = False
     if "simplex" in cfg.stages:
         for theta0 in starts:
@@ -375,7 +373,6 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
                     "maxfev": 4 * cfg.max_iter,
                 },
             )
-            n_evaluations += res.nfev
             if best is None or res.fun < best.fun:
                 best = res
         theta = best.x.copy()
@@ -385,10 +382,9 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
 
     newton_converged = False
     if "newton" in cfg.stages:
-        theta, newton_converged, evals = _newton_polish(
+        theta, newton_converged = _newton_polish(
             fn, theta, cfg.tol, q_positive=theta[2] > 0
         )
-        n_evaluations += evals
 
     sigma1_hat = math.exp(theta[0])
     sigma2_hat = math.exp(theta[1])

@@ -3,10 +3,11 @@
 A "phase" is a spatial interval with its own diffusion scale sigma_k; a unit
 point mass starts at x = 0 and diffuses under the piecewise heat equation with
 continuity of u and of the scaled flux (sigma^2/2) u_x at every boundary.  The
-two-phase law has exact pdf/CDF branches.  The three-phase law is a
-piecewise-linear map of multi-skewed Brownian motion: a method-of-images sum
-whose weights are powers of the interface reflection coefficients, truncated
-geometrically (three_phase_pdf_branch).
+two-phase law has exact pdf/CDF branches, closed-form moments and an exact
+skew-Brownian sampler.  The three-phase law is a piecewise-linear map of
+multi-skewed Brownian motion: a method-of-images sum whose weights are powers
+of the interface reflection coefficients, truncated geometrically
+(three_phase_pdf_branch).
 
 The three-phase image series as published has no such powers and does not
 solve the interface system (the equal-sigma case is not the Gaussian, the
@@ -22,7 +23,9 @@ from typing import Callable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .numerics import QuadratureSpec, RngState, integrate_adaptive, std_normal_cdf
+# integrate_adaptive is not called here; it stays a module attribute because
+# benchmark/tracing.py wraps the quadrature at this name.
+from .numerics import RngState, integrate_adaptive, std_normal_cdf  # noqa: F401
 
 __all__ = [
     "DomainError",
@@ -235,59 +238,75 @@ def two_phase_cdf(p: TwoPhaseParams, x, t: float):
     return out.item() if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _central_moment_quadrature(
-    pdf: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    interior_breaks: Sequence[float],
-    spec: QuadratureSpec,
-) -> MomentSummary:
-    """Mean/variance/skewness/kurtosis of a density by piecewise quadrature."""
-    breaks = [lo] + sorted(b for b in interior_breaks if lo < b < hi) + [hi]
+def _partial_moments(
+    weight: float, mean: float, scale: float, cut: float, side: float
+) -> list[float]:
+    """weight * E[X^k; side*X >= side*cut] for X ~ N(mean, scale^2), k = 0..4.
 
-    def piecewise(f: Callable[[float], float]) -> float:
-        total = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            value, _ = integrate_adaptive(f, a, b, spec)
-            total += value
-        return total
-
-    mean = piecewise(lambda z: z * float(pdf(z)))
-    var = piecewise(lambda z: (z - mean) ** 2 * float(pdf(z)))
-    mu3 = piecewise(lambda z: (z - mean) ** 3 * float(pdf(z)))
-    mu4 = piecewise(lambda z: (z - mean) ** 4 * float(pdf(z)))
-    return MomentSummary(
-        mean=mean,
-        variance=var,
-        skewness=mu3 / var**1.5,
-        kurtosis=mu4 / var**2,
-    )
+    side = +1 gives the upper piece.  side = -1 gives the lower piece by
+    reflection, E[X^k; X < cut] = (-1)^k E[Y^k; Y >= -cut] with Y = -X:
+    taken as "full minus upper", a lower piece holding nearly all the mass
+    leaves rounding noise in its small odd moments, which shows as ripples in
+    the far-q skewness.  With Y = m + scale*Z and a = (side*cut - m)/scale,
+    m = side*mean, the truncated moments M_j = E[Z^j; Z >= a] follow from
+    M_0 = Phi(-a), M_1 = phi(a) and M_j = a^(j-1) phi(a) + (j-1) M_(j-2).
+    """
+    m = side * mean
+    a = (side * cut - m) / scale
+    dens = math.exp(-0.5 * a * a) / _SQRT_2PI
+    z = [float(std_normal_cdf(-a)), dens]
+    for j in range(2, 5):
+        z.append(a ** (j - 1) * dens + (j - 1) * z[j - 2])
+    return [
+        side**k * weight
+        * sum(math.comb(k, j) * m ** (k - j) * scale**j * z[j] for j in range(k + 1))
+        for k in range(5)
+    ]
 
 
-def two_phase_moments(
-    p: TwoPhaseParams, t: float, spec: QuadratureSpec | None = None
-) -> MomentSummary:
-    """Mean, variance, skewness, and kurtosis at horizon t, by quadrature.
+def two_phase_moments(p: TwoPhaseParams, t: float) -> MomentSummary:
+    """Mean, variance, skewness, and kurtosis at horizon t, in closed form.
 
-    Tails are cut at 12*max(sigma)*sqrt(t) beyond the boundary/source span,
-    where the remaining mass is far below every tolerance in use.
+    Each side of q holds one or two Gaussian pieces of the density (see
+    two_phase_pdf); their truncated raw moments E[X^k; X >= q] and
+    E[X^k; X < q] are summed for k = 0..4 and converted to central moments.
     """
     t = _check_t(t)
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
-    span = 12.0 * max(p.sigma1, p.sigma2) * math.sqrt(t)
-    lo = min(p.q, 0.0) - span
-    hi = max(p.q, 0.0) + span
-    return _central_moment_quadrature(
-        lambda z: two_phase_pdf(p, z, t), lo, hi, [p.q, 0.0], spec
-    )
+    r1, r2 = p.sigma1 * math.sqrt(t), p.sigma2 * math.sqrt(t)
+    a1, a2, refl, c1, c2 = _coeffs(p)
+    q = p.q
+    if q > 0:
+        pieces = [
+            _partial_moments(a1, c1 * q, r1, q, 1.0),
+            _partial_moments(1.0, 0.0, r2, q, -1.0),
+            _partial_moments(refl, 2.0 * q, r2, q, -1.0),
+        ]
+    else:
+        pieces = [
+            _partial_moments(1.0, 0.0, r1, q, 1.0),
+            _partial_moments(-refl, 2.0 * q, r1, q, 1.0),
+            _partial_moments(a2, c2 * q, r2, q, -1.0),
+        ]
+    _, m1, m2, m3, m4 = (math.fsum(column) for column in zip(*pieces))
+    var = m2 - m1 * m1
+    mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
+    mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
+    return MomentSummary(m1, var, mu3 / var**1.5, mu4 / var**2)
 
 
 def two_phase_sample(
     p: TwoPhaseParams, t: float, n: int, rng: RngState
 ) -> tuple[np.ndarray, RngState]:
-    """n i.i.d. draws by inverse-CDF with bracketed bisection + Newton polish.
+    """n i.i.d. draws by the exact skew-Brownian sampler: one normal, one uniform each.
 
-    Deterministic given rng; returns (draws, advanced rng state).
+    The law is a piecewise-linear map of skew Brownian motion (Harrison &
+    Shepp 1981; Lejay 2006).  Mirrored so that the source lies in the upper
+    phase (for q > 0 the sigmas swap, q and the draws change sign),
+    Y = (X - q)/sigma(X) is skew Brownian motion from a = -q/sigma1 >= 0 with
+    skew beta = (sigma1 - sigma2)/(sigma1 + sigma2).  R = |Y_t| is distributed
+    as |a + sqrt(t) Z|, and given R the upper side has probability
+    (1 + beta e)/(1 + e), e = exp(-2 R a / t).  Deterministic given rng;
+    returns (draws, advanced rng state).
     """
     t = _check_t(t)
     if n < 0:
@@ -295,29 +314,16 @@ def two_phase_sample(
     gen = rng.generator()
     if n == 0:
         return np.empty(0), rng.advanced(gen)
-    u = gen.random(n)
-    smax = max(p.sigma1, p.sigma2) * math.sqrt(t)
-    lo = np.full(n, min(p.q, 0.0) - 14.0 * smax)
-    hi = np.full(n, max(p.q, 0.0) + 14.0 * smax)
-    # Bisection narrows the bracket; Newton then converges quadratically and is
-    # rejected back into the bracket whenever it would step outside.
-    for _ in range(25):
-        mid = 0.5 * (lo + hi)
-        low_side = two_phase_cdf(p, mid, t) < u
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        resid = two_phase_cdf(p, x, t) - u
-        slope = np.maximum(two_phase_pdf(p, x, t), 1e-300)
-        x_new = x - resid / slope
-        outside = (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-        low_side = two_phase_cdf(p, x_new, t) < u
-        lo = np.where(low_side, x_new, lo)
-        hi = np.where(low_side, hi, x_new)
-        x = x_new
-    return x, rng.advanced(gen)
+    s1, s2, q, sign = p.sigma1, p.sigma2, p.q, 1.0
+    if q > 0:
+        s1, s2, q, sign = s2, s1, -q, -1.0
+    beta = (s1 - s2) / (s1 + s2)
+    a = -q / s1
+    r = np.abs(a + math.sqrt(t) * gen.standard_normal(n))
+    e = np.exp(-2.0 * a / t * r)
+    upper = gen.random(n) * (1.0 + e) < 1.0 + beta * e
+    x = np.where(upper, q + s1 * r, q - s2 * r)
+    return sign * x, rng.advanced(gen)
 
 
 def _three_phase_images(p: ThreePhaseParams, series_tol: float):

@@ -23,7 +23,8 @@ from .numerics import (
     integrate_adaptive,
     std_normal_cdf,
 )
-from .phase_kernel import DomainError, TwoPhaseParams, two_phase_moments, two_phase_pdf
+from .phase_kernel import DomainError, TwoPhaseParams, _coeffs
+from .phase_kernel import two_phase_moments, two_phase_pdf
 
 __all__ = [
     "PricingError",
@@ -128,11 +129,7 @@ def lambda_normalizer(p: TwoPhaseParams, t: float) -> float:
         raise DomainError(f"t must be positive, got {t}")
     s1, s2, q = p.sigma1, p.sigma2, p.q
     r1, r2 = s1 * math.sqrt(t), s2 * math.sqrt(t)
-    a1 = 2.0 * s1 / (s1 + s2)
-    a2 = 2.0 * s2 / (s1 + s2)
-    refl = (s2 - s1) / (s1 + s2)
-    c1 = 1.0 - s1 / s2
-    c2 = 1.0 - s2 / s1
+    a1, a2, refl, c1, c2 = _coeffs(p)
     cdf = std_normal_cdf
     if q > 0:
         return float(
@@ -171,11 +168,7 @@ def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
     s1, s2, q = p.sigma1, p.sigma2, p.q
     spot, strike, rate, tau = terms.spot, terms.strike, terms.rate, terms.tau
     r1, r2 = s1 * math.sqrt(tau), s2 * math.sqrt(tau)
-    a1 = 2.0 * s1 / (s1 + s2)
-    a2 = 2.0 * s2 / (s1 + s2)
-    refl = (s2 - s1) / (s1 + s2)
-    c1 = 1.0 - s1 / s2
-    c2 = 1.0 - s2 / s1
+    a1, a2, refl, c1, c2 = _coeffs(p)
     cdf = std_normal_cdf
 
     lam = lambda_normalizer(p, tau)
@@ -229,8 +222,7 @@ def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
                - refl * math.exp(2.0 * q) * cdf((q + s1 * s1 * tau) / r1))
         )
         psi2 = float(
-            a2 * cdf((log_moneyness + mu * tau + c2 * q) / r2)
-            + (s1 - s2) / (s1 + s2)
+            a2 * cdf((log_moneyness + mu * tau + c2 * q) / r2) - refl
         )
 
     price = spot * psi1 - strike * math.exp(-rate * tau) * psi2

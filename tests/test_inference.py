@@ -200,6 +200,32 @@ class TestFitTwoPhase:
         b = fit_two_phase(sample, FitConfig())
         assert a == b
 
+    def test_permuted_sample_gives_identical_report(self):
+        draws, _ = two_phase_sample(
+            TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 2000, RngState(seed=55)
+        )
+        permuted = RngState(seed=56).generator().permutation(draws)
+        for config in (FitConfig(), FitConfig(demean=True)):
+            assert fit_two_phase(ReturnSample(draws), config) == fit_two_phase(
+                ReturnSample(permuted), config
+            )
+
+    def test_n_evaluations_counts_objective_calls(self, monkeypatch):
+        import multiphase.inference as inference
+
+        calls = 0
+        original = inference._loglik_terms
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(inference, "_loglik_terms", counted)
+        x = RngState(seed=40000).generator().normal(0.0, 0.01, size=500)
+        report = fit_two_phase(ReturnSample(x))
+        assert report.n_evaluations == calls
+
     def test_scale_consistency(self):
         draws, _ = two_phase_sample(
             TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 2000, RngState(seed=77)

@@ -46,6 +46,42 @@ def normal_pdf(x, scale):
     return math.exp(-0.5 * (x / scale) ** 2) / (scale * math.sqrt(2.0 * math.pi))
 
 
+def quadrature_moments(p, t):
+    """(mean, variance, skewness, kurtosis) by piecewise adaptive quadrature.
+
+    The oracle for the closed-form two_phase_moments.  The density is
+    integrated in units of s = max(sigma)*sqrt(t), so every integral is O(1)
+    and the quadrature's tolerances are relative to the law's own scale;
+    tails are cut 12 units beyond the source/boundary span, breaks sit at q
+    and 0.
+    """
+    s = max(p.sigma1, p.sigma2) * math.sqrt(t)
+    u_q = p.q / s
+    breaks = sorted({min(u_q, 0.0) - 12.0, u_q, 0.0, max(u_q, 0.0) + 12.0})
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
+
+    def integral(g):
+        integrand = lambda u: g(u) * s * two_phase_pdf(p, s * u, t)
+        return sum(
+            integrate_adaptive(integrand, a, b, spec)[0]
+            for a, b in zip(breaks[:-1], breaks[1:])
+        )
+
+    mean = integral(lambda u: u)
+    var = integral(lambda u: (u - mean) ** 2)
+    mu3 = integral(lambda u: (u - mean) ** 3)
+    mu4 = integral(lambda u: (u - mean) ** 4)
+    return s * mean, s * s * var, mu3 / var**1.5, mu4 / var**2
+
+
+def ks_distance(p, t, draws):
+    """Kolmogorov-Smirnov distance between the draws and two_phase_cdf."""
+    n = draws.size
+    cdf_values = np.asarray(two_phase_cdf(p, np.sort(draws), t))
+    ranks = np.arange(1, n + 1)
+    return max(np.max(ranks / n - cdf_values), np.max(cdf_values - (ranks - 1) / n))
+
+
 class TestPhaseSystem:
     def test_two_phase_construction(self):
         sys_ = PhaseSystem.from_two_phase(CANONICAL)
@@ -173,6 +209,22 @@ class TestTwoPhaseMoments:
         assert a.skewness == pytest.approx(-b.skewness, abs=1e-8)
         assert a.kurtosis == pytest.approx(b.kurtosis, abs=1e-8)
 
+    def test_far_q_skewness_decays_monotonically(self):
+        # Beyond the interior extremum |skewness| must fall steadily to 0 as
+        # the boundary moves into the tail.  Lower Gaussian pieces taken as
+        # "full minus upper" leave rounding noise of order 1e-15 there,
+        # which breaks the monotone decay into ripples.
+        sigma1, sigma2, t = 0.025, 0.05, 21.0
+        scale = sigma2 * math.sqrt(t)
+        for sign in (1.0, -1.0):
+            qs = sign * scale * np.linspace(1.0, 12.0, 221)
+            skews = [
+                two_phase_moments(TwoPhaseParams(sigma1, sigma2, q), t).skewness
+                for q in qs
+            ]
+            magnitude = np.abs(skews)
+            assert np.all(np.diff(magnitude) < 0.0), sign
+
     def test_against_monte_carlo(self):
         p = TwoPhaseParams(0.025, 0.05, -0.05)
         summary = two_phase_moments(p, 21.0)
@@ -208,6 +260,50 @@ class TestTwoPhaseSample:
             np.max(ranks / n - cdf_values), np.max(cdf_values - (ranks - 1) / n)
         )
         assert ks < 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize(
+        "p, t, seed",
+        [
+            (TwoPhaseParams(0.2, 0.3, -0.1), 1.0, 4321),
+            (TwoPhaseParams(0.3, 0.2, 0.15), 1.0, 4322),
+            (TwoPhaseParams(0.2, 0.3, 0.0), 2.0, 4323),
+            (TwoPhaseParams(0.25, 0.25, 0.1), 1.0, 4324),
+            (TwoPhaseParams(0.03, 0.3, -0.05), 0.5, 4325),
+        ],
+        ids=["q<0", "q>0", "q=0", "equal-sigma", "ratio-10"],
+    )
+    def test_kolmogorov_smirnov_million_draws(self, p, t, seed):
+        # Dvoretzky-Kiefer-Wolfowitz-Massart bound at a false-alarm
+        # probability of 1e-6: sqrt(ln(2/1e-6) / (2n)) = 2.69e-3 at n = 1e6.
+        n = 10**6
+        draws, _ = two_phase_sample(p, t, n, RngState(seed=seed))
+        assert ks_distance(p, t, draws) < math.sqrt(math.log(2e6) / (2.0 * n))
+
+    @pytest.mark.parametrize(
+        "sigma1, sigma2, q", [(0.2, 0.3, 0.1), (0.3, 0.2, -0.1), (0.05, 0.5, 0.02)]
+    )
+    def test_mirror_identity_is_exact(self, sigma1, sigma2, q):
+        # The sampler mirrors q > 0 onto q < 0, so for q != 0 the mirrored law
+        # with the same seed gives exactly the negated draws.  At q = 0 both
+        # sides take the unmirrored branch and the identity holds in law only.
+        direct, _ = two_phase_sample(
+            TwoPhaseParams(sigma1, sigma2, q), 1.0, 1000, RngState(seed=5)
+        )
+        mirrored, _ = two_phase_sample(
+            TwoPhaseParams(sigma2, sigma1, -q), 1.0, 1000, RngState(seed=5)
+        )
+        assert np.array_equal(direct, -mirrored)
+
+    def test_uses_no_cdf_or_pdf(self, monkeypatch):
+        import multiphase.phase_kernel as kernel
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampler evaluated the pdf or cdf")
+
+        monkeypatch.setattr(kernel, "two_phase_cdf", forbidden)
+        monkeypatch.setattr(kernel, "two_phase_pdf", forbidden)
+        draws, _ = two_phase_sample(CANONICAL, 1.0, 100, RngState(seed=1))
+        assert draws.size == 100
 
 
 class TestThreePhase:
@@ -338,6 +434,34 @@ class TestInvariantSweeps:
             assert two_phase_pdf(p, x, 1.0) == pytest.approx(
                 normal_pdf(x, 0.3), abs=1e-8
             )
+
+
+@st.composite
+def moment_cases(draw):
+    """sigma1 in [0.01, 1], sigma2 within 10:1 of it, t in [1/365, 21], and q
+    either 0 or up to 6 scales max(sigma)*sqrt(t) either side of the source."""
+    sigma1 = draw(st.floats(min_value=0.01, max_value=1.0))
+    sigma2 = draw(
+        st.floats(min_value=max(0.01, sigma1 / 10.0), max_value=min(1.0, 10.0 * sigma1))
+    )
+    t = draw(st.floats(min_value=1.0 / 365.0, max_value=21.0))
+    offset = draw(st.one_of(st.just(0.0), st.floats(min_value=-6.0, max_value=6.0)))
+    q = offset * max(sigma1, sigma2) * math.sqrt(t)
+    return TwoPhaseParams(sigma1, sigma2, q), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=moment_cases())
+def test_closed_form_moments_match_quadrature_property(case):
+    # Mean to 1e-10 of the standard deviation (the mean can vanish), variance
+    # to 1e-10 relative, skewness and kurtosis to 1e-8 absolute.
+    p, t = case
+    mean, var, skew, kurt = quadrature_moments(p, t)
+    summary = two_phase_moments(p, t)
+    assert abs(summary.mean - mean) <= 1e-10 * math.sqrt(var)
+    assert abs(summary.variance - var) <= 1e-10 * var
+    assert abs(summary.skewness - skew) <= 1e-8
+    assert abs(summary.kurtosis - kurt) <= 1e-8
 
 
 @settings(max_examples=80, deadline=None)
