@@ -34,11 +34,11 @@ from .phase_kernel import (
     SeriesConsistencyError,
     ThreePhaseParams,
     TwoPhaseParams,
+    _cdf,
+    _moments,
+    _pdf,
+    _pieces,
     density_grid,
-    three_phase_pdf,
-    two_phase_cdf,
-    two_phase_moments,
-    two_phase_pdf,
     two_phase_sample,
     write_density_csv,
 )
@@ -218,8 +218,7 @@ def _add_model_flags(parser: _Parser, three_phase: bool = True) -> None:
 def _cmd_pdf(args, stdout, stderr) -> int:
     params = _model_params(args)
     table = density_grid(
-        params, args.t, np.asarray(args.x_grid),
-        include_normal=args.include_normal, series_tol=args.series_tol,
+        params, args.t, np.asarray(args.x_grid), include_normal=args.include_normal
     )
     buf = io.StringIO()
     write_density_csv(table, buf)
@@ -227,29 +226,10 @@ def _cmd_pdf(args, stdout, stderr) -> int:
     return 0
 
 
-def _three_phase_cdf_values(
-    params: ThreePhaseParams, t: float, x_grid: np.ndarray, series_tol: float
-) -> np.ndarray:
-    """Cumulative trapezoid of the series branches on a dense internal grid."""
-    smax = max(params.sigma1, params.sigma2, params.sigma3)
-    span = 12.0 * smax * math.sqrt(t)
-    lo = min(params.q2 - span, float(np.min(x_grid)))
-    hi = max(params.q1 + span, float(np.max(x_grid)))
-    dense = np.linspace(lo, hi, 8001)
-    density = three_phase_pdf(params, dense, t, series_tol=series_tol)
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(dense))]
-    )
-    return np.interp(x_grid, dense, cumulative)
-
-
 def _cmd_cdf(args, stdout, stderr) -> int:
     params = _model_params(args)
     x_grid = np.asarray(args.x_grid)
-    if isinstance(params, TwoPhaseParams):
-        values = np.asarray(two_phase_cdf(params, x_grid, args.t))
-    else:
-        values = _three_phase_cdf_values(params, args.t, x_grid, args.series_tol)
+    values = _cdf(_pieces(params, args.t), x_grid)
     lines = ["x,cdf"]
     lines += [f"{_sig12(x)},{_sig12(v)}" for x, v in zip(x_grid, values)]
     _emit("\n".join(lines) + "\n", args.output, stdout)
@@ -259,34 +239,19 @@ def _cmd_cdf(args, stdout, stderr) -> int:
 def _cmd_moments(args, stdout, stderr) -> int:
     if args.model == "three-phase":
         params = _model_params(args)
-        table = density_grid(
-            PhaseSystem.from_three_phase(params), args.t,
-            np.linspace(params.q2 - 12 * max(params.sigma1, params.sigma2,
-                                             params.sigma3) * math.sqrt(args.t),
-                        params.q1 + 12 * max(params.sigma1, params.sigma2,
-                                             params.sigma3) * math.sqrt(args.t),
-                        8001),
-        )
-        x, u = table.x, table.density
-        mass = np.trapezoid(u, x)
-        mean = np.trapezoid(x * u, x) / mass
-        var = np.trapezoid((x - mean) ** 2 * u, x) / mass
-        skew = np.trapezoid((x - mean) ** 3 * u, x) / mass / var ** 1.5
-        kurt = np.trapezoid((x - mean) ** 4 * u, x) / mass / var ** 2
-        lines = ["q1,q2,mean,variance,skewness,kurtosis",
-                 ",".join(_sig12(v) for v in
-                          (params.q1, params.q2, mean, var, skew, kurt))]
-        _emit("\n".join(lines) + "\n", args.output, stdout)
-        return 0
-    if (args.q is None) == (args.q_grid is None):
-        raise DomainError("two-phase moments need exactly one of --q / --q-grid")
-    q_values = [args.q] if args.q is not None else list(np.asarray(args.q_grid))
-    lines = ["q,mean,variance,skewness,kurtosis"]
-    for q in q_values:
-        p = TwoPhaseParams(args.sigma1, args.sigma2, float(q))
-        mom = two_phase_moments(p, args.t)
+        header, rows = "q1,q2", [((params.q1, params.q2), params)]
+    else:
+        if (args.q is None) == (args.q_grid is None):
+            raise DomainError("two-phase moments need exactly one of --q / --q-grid")
+        q_values = [args.q] if args.q is not None else list(np.asarray(args.q_grid))
+        header = "q"
+        rows = [((q,), TwoPhaseParams(args.sigma1, args.sigma2, float(q)))
+                for q in q_values]
+    lines = [header + ",mean,variance,skewness,kurtosis"]
+    for keys, params in rows:
+        mom = _moments(_pieces(params, args.t))
         lines.append(",".join(_sig12(v) for v in
-                              (q, mom.mean, mom.variance, mom.skewness,
+                              (*keys, mom.mean, mom.variance, mom.skewness,
                                mom.kurtosis)))
     _emit("\n".join(lines) + "\n", args.output, stdout)
     return 0
@@ -357,10 +322,9 @@ def _cmd_check_pde(args, stdout, stderr) -> int:
     params = _model_params(args)
     if isinstance(params, TwoPhaseParams):
         system = PhaseSystem.from_two_phase(params)
-        reference = lambda x: np.asarray(two_phase_pdf(params, x, args.t_end))
     else:
         system = PhaseSystem.from_three_phase(params)
-        reference = lambda x: np.asarray(three_phase_pdf(params, x, args.t_end))
+    reference = lambda x: _pdf(_pieces(system, args.t_end), x)
     smax = max(system.sigmas)
     span = 8.5 * smax * math.sqrt(args.t_end)
     lo = min((*system.boundaries, 0.0)) - span
@@ -448,7 +412,6 @@ def _build_parser() -> _Parser:
                    metavar="a:b:n")
     p.add_argument("--include-normal", action="store_true",
                    help="add a same-variance normal density column")
-    p.add_argument("--series-tol", type=float, default=1e-10)
     p.set_defaults(_handler=_cmd_pdf)
 
     p = new("cdf", "cumulative distribution on an x grid (CSV)")
@@ -456,7 +419,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x-grid", type=_parse_linspace, required=True,
                    metavar="a:b:n")
-    p.add_argument("--series-tol", type=float, default=1e-10)
     p.set_defaults(_handler=_cmd_cdf)
 
     p = new("moments", "mean/variance/skewness/kurtosis (CSV)")

@@ -78,13 +78,12 @@ class ReturnSample:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings: stage plan is simplex exploration then Newton polish."""
+    """Optimizer settings for the simplex exploration and the Newton polish."""
 
     tol: float = 1e-8
     max_iter: int = 600
     demean: bool = False
     n_starts: int = 5
-    stages: tuple[str, ...] = ("simplex", "newton")
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -93,9 +92,6 @@ class FitConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
-        for s in self.stages:
-            if s not in ("simplex", "newton"):
-                raise ValueError(f"unknown stage {s!r}")
 
 
 @dataclass(frozen=True)
@@ -359,32 +355,23 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     starts = [np.array([log_s, log_s, q0]) for q0 in q_starts[: cfg.n_starts]]
 
     best = None
-    nm_converged = False
-    if "simplex" in cfg.stages:
-        for theta0 in starts:
-            res = minimize(
-                fn,
-                theta0,
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-6,
-                    "fatol": cfg.tol,
-                    "maxiter": cfg.max_iter,
-                    "maxfev": 4 * cfg.max_iter,
-                },
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        theta = best.x.copy()
-        nm_converged = bool(best.success)
-    else:
-        theta = starts[0]
-
-    newton_converged = False
-    if "newton" in cfg.stages:
-        theta, newton_converged = _newton_polish(
-            fn, theta, cfg.tol, q_positive=theta[2] > 0
+    for theta0 in starts:
+        res = minimize(
+            fn,
+            theta0,
+            method="Nelder-Mead",
+            options={
+                "xatol": 1e-6,
+                "fatol": cfg.tol,
+                "maxiter": cfg.max_iter,
+                "maxfev": 4 * cfg.max_iter,
+            },
         )
+        if best is None or res.fun < best.fun:
+            best = res
+    theta, newton_converged = _newton_polish(
+        fn, best.x, cfg.tol, q_positive=best.x[2] > 0
+    )
 
     sigma1_hat = math.exp(theta[0])
     sigma2_hat = math.exp(theta[1])
@@ -422,7 +409,7 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
         lr_statistic=lr,
         p_value=p_value,
         sample_size=sample.size,
-        converged=bool(newton_converged or nm_converged),
+        converged=bool(newton_converged or best.success),
         unit=sample.unit,
         demeaned=demeaned,
         se_status=se_status,

@@ -23,7 +23,7 @@ from .phase_kernel import (
     PhaseSystem,
     ThreePhaseParams,
     TwoPhaseParams,
-    _three_phase_images,
+    _pieces,
     two_phase_pdf,
 )
 
@@ -325,26 +325,20 @@ def three_phase_flux(p: ThreePhaseParams, t: float) -> tuple[float, float]:
     """Closed-form interface fluxes (g1 at q1, g2 at q2) of the three-phase law.
 
     g1 = (sigma1^2/2) du1/dx at q1 and g2 = (sigma3^2/2) du3/dx at q2, the
-    exact derivatives of phase_kernel.three_phase_pdf_branch; flux continuity
-    makes them equal to the phase-2 values.  With phi_t'(z) = -(z/t) phi_t(z):
-
-        g1 = ((1+beta1)/2) sum_n rho^n [phi_t'(b1+2nL) + r2 phi_t'(b1-2b2+2nL)]
-        g2 = ((1-beta2)/2) sum_n rho^n [phi_t'(b2-2nL) + r1 phi_t'(b2-2b1-2nL)]
+    exact derivatives of the outer phases' Gaussian pieces (see
+    phase_kernel._gaussian_pieces); flux continuity makes them equal to the
+    phase-2 values.  A piece w N(x; m, s^2) of phase k, s = sigma_k sqrt(t),
+    contributes -(w/(2t)) (x - m) N(x; m, s^2).
     """
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
-    b1, b2, span, beta1, beta2, rho, n_terms = _three_phase_images(p, 1e-12)
-    r1, r2 = -beta1, beta2
+    phases = _pieces(p, t)
 
-    def dphi(z: float) -> float:
-        return -(z / t) * math.exp(-0.5 * z * z / t) / math.sqrt(2.0 * math.pi * t)
+    def flux(phase, x: float) -> float:
+        _, _, scale, pieces = phase
+        return -sum(
+            w * (x - m) * math.exp(-0.5 * ((x - m) / scale) ** 2) for w, m in pieces
+        ) / (2.0 * t * _SQRT_2PI * scale)
 
-    g1 = g2 = 0.0
-    for n in range(n_terms):
-        shift = 2.0 * n * span
-        g1 += rho**n * (dphi(b1 + shift) + r2 * dphi(b1 - 2.0 * b2 + shift))
-        g2 += rho**n * (dphi(b2 - shift) + r1 * dphi(b2 - 2.0 * b1 - shift))
-    return 0.5 * (1.0 + beta1) * g1, 0.5 * (1.0 - beta2) * g2
+    return flux(phases[0], p.q1), flux(phases[2], p.q2)
 
 
 def write_solution_csv(solution: GridSolution, stream: TextIO) -> None:

@@ -3,20 +3,23 @@
 A "phase" is a spatial interval with its own diffusion scale sigma_k; a unit
 point mass starts at x = 0 and diffuses under the piecewise heat equation with
 continuity of u and of the scaled flux (sigma^2/2) u_x at every boundary.  The
-two-phase law has exact pdf/CDF branches, closed-form moments and an exact
-skew-Brownian sampler.  The three-phase law is a piecewise-linear map of
-multi-skewed Brownian motion: a method-of-images sum whose weights are powers
-of the interface reflection coefficients, truncated geometrically
-(three_phase_pdf_branch).
+law is a piecewise-linear map of multi-skewed Brownian motion (Ramirez 2011;
+Lejay 2006), so for any number of phases it is a finite sum of Gaussian pieces
+w N(x; m, (sigma_k sqrt(t))^2), each restricted to its phase interval
+(_gaussian_pieces).  The pdf, cdf and moments here, and the normalizer and
+call prices in pricing, are sums over those pieces.  Two-phase draws come
+from an exact skew-Brownian sampler.
 
-The three-phase image series as published has no such powers and does not
-solve the interface system (the equal-sigma case is not the Gaussian, the
-branches jump at the boundaries, and it can go negative).  It is kept, under
-three_phase_pdf_as_published, only as the published formula.
+The three-phase image series as published has no powers of the interface
+reflection coefficients and does not solve the interface system (the
+equal-sigma case is not the Gaussian, the branches jump at the boundaries,
+and it can go negative).  It is kept, under three_phase_pdf_as_published,
+only as the published formula.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO, Union
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class DomainError(ValueError):
@@ -174,7 +178,8 @@ def _check_t(t: float) -> float:
 
 
 def _coeffs(p: TwoPhaseParams):
-    """Shared two-phase constants: amplitudes, reflection weight, mean shifts."""
+    """Two-phase constants of the log-domain likelihood: amplitudes,
+    reflection weight, mean shifts."""
     s1, s2 = p.sigma1, p.sigma2
     a1 = 2.0 * s1 / (s1 + s2)
     a2 = 2.0 * s2 / (s1 + s2)
@@ -184,58 +189,150 @@ def _coeffs(p: TwoPhaseParams):
     return a1, a2, refl, c1, c2
 
 
-def _phi(z: np.ndarray, mean: float, scale: float) -> np.ndarray:
-    return np.exp(-0.5 * ((z - mean) / scale) ** 2) / (_SQRT_2PI * scale)
+def _gaussian_pieces(
+    sigmas: Sequence[float], boundaries: Sequence[float], t: float
+) -> list[tuple[float, float, float, list[list[float]]]]:
+    """The law at horizon t as Gaussian pieces, grouped by phase top-down.
+
+    Returns (lo, hi, scale, pieces) per phase: the phase interval [lo, hi),
+    its scale sigma_k*sqrt(t) and a list of [w, m] pairs, so that the density
+    on [lo, hi) is sum w N(x; m, scale^2).
+
+    Rays expand in the skew coordinate y = int_0^x dx/sigma, in which every
+    piece has variance t.  A ray in phase f meeting the interface to phase g
+    splits into a reflection through it, weight R = (sf - sg)/(sf + sg), and
+    a transmission into g at the same y, weight T = 2 sg/(sf + sg); the three
+    keep u and (sigma^2/2) u_x continuous there.  Each new ray next meets the
+    other interface of its phase, at a y-distance that grows along every
+    path, so rays are split in order of that distance and rays reaching the
+    same (phase, position, interface), positions compared to 1e-9 scales,
+    merge first: unmerged, four or more phases grow exponentially.  A piece
+    lighter than 1e-15 is dropped, and a ray more than 40 sqrt(t) from its
+    next interface is not split, since its descendants lie at least as far
+    outside their phases.
+    """
+    n = len(sigmas)
+    scales = [s * math.sqrt(t) for s in sigmas]
+    source = sum(q > 0.0 for q in boundaries)
+    found = [{} for _ in sigmas]  # per phase: position key -> [w, m]
+    rays = {}  # (phase, interface, position key) -> [w, m]
+    queue = []  # (distance, phase, interface, position key)
+
+    def emit(k: int, m: float, w: float, came_from: int) -> None:
+        if abs(w) < 1e-15:
+            return
+        key = round(m / scales[k] * 1e9)
+        found[k].setdefault(key, [0.0, m])[0] += w
+        for i in (k - 1, k):
+            if i != came_from and 0 <= i < n - 1:
+                distance = abs(m - boundaries[i]) / scales[k]
+                if distance <= 40.0:
+                    if (k, i, key) not in rays:
+                        rays[k, i, key] = [0.0, m]
+                        heapq.heappush(queue, (distance, k, i, key))
+                    rays[k, i, key][0] += w
+
+    emit(source, 0.0, 1.0, -1)
+    while queue:
+        _, k, i, key = heapq.heappop(queue)
+        w, m = rays.pop((k, i, key))
+        q = boundaries[i]
+        g = i + 1 if k == i else i
+        sf, sg = sigmas[k], sigmas[g]
+        ratio = sg / sf
+        emit(k, 2.0 * q - m, (sf - sg) / (sf + sg) * w, i)
+        emit(g, (1.0 - ratio) * q + ratio * m, 2.0 * sg / (sf + sg) * w, i)
+    edges = (math.inf, *boundaries, -math.inf)
+    return [
+        (edges[k + 1], edges[k], scales[k], list(found[k].values()))
+        for k in range(n)
+    ]
+
+
+def _pieces(model: ModelLike, t: float):
+    """_gaussian_pieces of a two-phase, three-phase or N-phase model."""
+    t = _check_t(t)
+    if isinstance(model, TwoPhaseParams):
+        return _gaussian_pieces((model.sigma1, model.sigma2), (model.q,), t)
+    if isinstance(model, ThreePhaseParams):
+        return _gaussian_pieces(
+            (model.sigma1, model.sigma2, model.sigma3), (model.q1, model.q2), t
+        )
+    if isinstance(model, PhaseSystem):
+        return _gaussian_pieces(model.sigmas, model.boundaries, t)
+    raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def _phase_sum(scale: float, pieces, x: np.ndarray) -> np.ndarray:
+    """One phase's sum w N(x; m, scale^2), evaluated at every x."""
+    total = np.zeros_like(x)
+    for w, m in pieces:
+        total += w * np.exp(-0.5 * ((x - m) / scale) ** 2)
+    return total / (_SQRT_2PI * scale)
+
+
+def _pdf(phases, x):
+    """Density from the pieces of x's phase; a scalar x takes a math path.
+
+    The boundary point belongs to the phase above it.  Scalar x in, float out.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        for lo, _, scale, pieces in phases:
+            if x >= lo:
+                total = 0.0
+                for w, m in pieces:
+                    z = (x - m) / scale
+                    total += w * math.exp(-0.5 * z * z)
+                return total / (_SQRT_2PI * scale)
+        return math.nan
+    x_arr = np.asarray(x, dtype=float)
+    lows = [lo for lo, _, _, _ in reversed(phases)]
+    phase = len(phases) - np.searchsorted(lows, x_arr, side="right")
+    return np.choose(phase, [_phase_sum(s, pcs, x_arr) for _, _, s, pcs in phases])
+
+
+def _mass(lo: float, hi: float, mean: float, scale: float) -> float:
+    """P(lo <= X < hi) for X ~ N(mean, scale^2), from the smaller tail."""
+    a = (lo - mean) / scale * _SQRT_HALF
+    b = (hi - mean) / scale * _SQRT_HALF
+    if a > 0.0:
+        return 0.5 * (math.erfc(a) - math.erfc(b))
+    return 0.5 * (math.erfc(-b) - math.erfc(-a))
+
+
+def _cdf(phases, x):
+    """Distribution function: each piece's mass on [lo, min(x, hi)).
+
+    A piece's mass comes from its smaller tail; the sum is clipped to [0, 1]
+    against rounding.  Vectorized in x.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    out = np.zeros_like(x_arr)
+    for lo, hi, scale, pieces in phases:
+        top = np.clip(x_arr, lo, hi)
+        for w, m in pieces:
+            a, b = (lo - m) / scale, (top - m) / scale
+            if a > 0.0:
+                out += w * (std_normal_cdf(-a) - std_normal_cdf(-b))
+            else:
+                out += w * (std_normal_cdf(b) - std_normal_cdf(a))
+    out = np.clip(out, 0.0, 1.0)
+    return out.item() if out.ndim == 0 else out
 
 
 def two_phase_pdf(p: TwoPhaseParams, x, t: float):
     """Density of the two-phase law at horizon t; vectorized in x.
 
-    The q > 0 and q <= 0 parameter branches use their own closed forms; the
-    boundary point x = q takes the upper-phase expression, and q = 0 is routed
-    to the q <= 0 branch.  Scalar x in, scalar out.
+    The boundary point x = q takes the upper-phase value.  Scalar x in,
+    scalar out.
     """
-    t = _check_t(t)
-    x_arr = np.asarray(x, dtype=float)
-    r1 = p.sigma1 * math.sqrt(t)
-    r2 = p.sigma2 * math.sqrt(t)
-    a1, a2, refl, c1, c2 = _coeffs(p)
-    q = p.q
-    if q > 0:
-        upper = a1 * _phi(x_arr, c1 * q, r1)
-        lower = _phi(x_arr, 0.0, r2) + refl * _phi(x_arr, 2.0 * q, r2)
-    else:
-        upper = _phi(x_arr, 0.0, r1) - refl * _phi(x_arr, 2.0 * q, r1)
-        lower = a2 * _phi(x_arr, c2 * q, r2)
-    out = np.where(x_arr >= q, upper, lower)
-    return out.item() if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _pdf(_pieces(p, t), x)
 
 
 def two_phase_cdf(p: TwoPhaseParams, x, t: float):
     """Distribution function of the two-phase law; vectorized in x."""
-    t = _check_t(t)
-    x_arr = np.asarray(x, dtype=float)
-    r1 = p.sigma1 * math.sqrt(t)
-    r2 = p.sigma2 * math.sqrt(t)
-    a1, a2, refl, c1, c2 = _coeffs(p)
-    q = p.q
-    cdf = std_normal_cdf
-    if q > 0:
-        at_q = cdf(q / r2) + refl * cdf(-q / r2)
-        below = cdf(x_arr / r2) + refl * cdf((x_arr - 2.0 * q) / r2)
-        above = at_q + a1 * (cdf((x_arr - c1 * q) / r1) - cdf(q / r2))
-    else:
-        at_q = a2 * cdf(q / r1)
-        below = a2 * cdf((x_arr - c2 * q) / r2)
-        above = (
-            at_q
-            + cdf(x_arr / r1)
-            - cdf(q / r1)
-            - refl * (cdf((x_arr - 2.0 * q) / r1) - cdf(-q / r1))
-        )
-    out = np.where(x_arr <= q, below, above)
-    out = np.clip(out, 0.0, 1.0)
-    return out.item() if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _cdf(_pieces(p, t), x)
 
 
 def _partial_moments(
@@ -250,13 +347,14 @@ def _partial_moments(
     the far-q skewness.  With Y = m + scale*Z and a = (side*cut - m)/scale,
     m = side*mean, the truncated moments M_j = E[Z^j; Z >= a] follow from
     M_0 = Phi(-a), M_1 = phi(a) and M_j = a^(j-1) phi(a) + (j-1) M_(j-2).
+    An infinite cut gives the full (cut = -side*inf) or empty moments.
     """
     m = side * mean
     a = (side * cut - m) / scale
     dens = math.exp(-0.5 * a * a) / _SQRT_2PI
     z = [float(std_normal_cdf(-a)), dens]
     for j in range(2, 5):
-        z.append(a ** (j - 1) * dens + (j - 1) * z[j - 2])
+        z.append((a ** (j - 1) * dens if dens else 0.0) + (j - 1) * z[j - 2])
     return [
         side**k * weight
         * sum(math.comb(k, j) * m ** (k - j) * scale**j * z[j] for j in range(k + 1))
@@ -264,34 +362,35 @@ def _partial_moments(
     ]
 
 
-def two_phase_moments(p: TwoPhaseParams, t: float) -> MomentSummary:
-    """Mean, variance, skewness, and kurtosis at horizon t, in closed form.
+def _moments(phases) -> MomentSummary:
+    """Mean, variance, skewness and kurtosis from the pieces, in closed form.
 
-    Each side of q holds one or two Gaussian pieces of the density (see
-    two_phase_pdf); their truncated raw moments E[X^k; X >= q] and
-    E[X^k; X < q] are summed for k = 0..4 and converted to central moments.
+    Each piece's truncated raw moments E[X^k; lo <= X < hi], k = 0..4, are
+    summed and converted to central moments.  An outer phase takes its
+    pieces' tails beyond its one boundary; an inner phase takes a difference
+    of two tails, upper ones when the piece's mean lies below the phase and
+    lower ones otherwise.  Never "full minus tail" (see _partial_moments).
     """
-    t = _check_t(t)
-    r1, r2 = p.sigma1 * math.sqrt(t), p.sigma2 * math.sqrt(t)
-    a1, a2, refl, c1, c2 = _coeffs(p)
-    q = p.q
-    if q > 0:
-        pieces = [
-            _partial_moments(a1, c1 * q, r1, q, 1.0),
-            _partial_moments(1.0, 0.0, r2, q, -1.0),
-            _partial_moments(refl, 2.0 * q, r2, q, -1.0),
-        ]
-    else:
-        pieces = [
-            _partial_moments(1.0, 0.0, r1, q, 1.0),
-            _partial_moments(-refl, 2.0 * q, r1, q, 1.0),
-            _partial_moments(a2, c2 * q, r2, q, -1.0),
-        ]
-    _, m1, m2, m3, m4 = (math.fsum(column) for column in zip(*pieces))
+    columns = []
+    for lo, hi, scale, pieces in phases:
+        for w, m in pieces:
+            side = 1.0 if hi == math.inf or (lo > -math.inf and m <= lo) else -1.0
+            near, far = (lo, hi) if side > 0 else (hi, lo)
+            moments = _partial_moments(w, m, scale, near, side)
+            if math.isfinite(far):
+                beyond = _partial_moments(w, m, scale, far, side)
+                moments = [a - b for a, b in zip(moments, beyond)]
+            columns.append(moments)
+    _, m1, m2, m3, m4 = (math.fsum(column) for column in zip(*columns))
     var = m2 - m1 * m1
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
     return MomentSummary(m1, var, mu3 / var**1.5, mu4 / var**2)
+
+
+def two_phase_moments(p: TwoPhaseParams, t: float) -> MomentSummary:
+    """Mean, variance, skewness, and kurtosis at horizon t, in closed form."""
+    return _moments(_pieces(p, t))
 
 
 def two_phase_sample(
@@ -326,111 +425,45 @@ def two_phase_sample(
     return sign * x, rng.advanced(gen)
 
 
-def _three_phase_images(p: ThreePhaseParams, series_tol: float):
-    """Skew coordinates, image weights and term count of the three-phase law.
-
-    Returns (b1, b2, span, beta1, beta2, rho, n_terms): the boundaries
-    bk = qk/sigma2 in the skew coordinate y, the slab width span = b1 - b2,
-    the interface skews beta1 = (s1-s2)/(s1+s2) and beta2 = (s2-s3)/(s2+s3),
-    the round-trip reflection rho = r1*r2 with r1 = -beta1 and r2 = +beta2,
-    and the number of shells n = 0..n_terms-1 after which the geometric tail
-    sum_{n >= n_terms} |rho|^n falls below series_tol.
-    """
-    if not series_tol > 0:
-        raise DomainError(f"series_tol must be positive, got {series_tol}")
-    s1, s2, s3 = p.sigma1, p.sigma2, p.sigma3
-    beta1 = (s1 - s2) / (s1 + s2)
-    beta2 = (s2 - s3) / (s2 + s3)
-    rho = -beta1 * beta2
-    n_terms = 1
-    if rho != 0.0:
-        decay = math.log(series_tol * (1.0 - abs(rho))) / math.log(abs(rho))
-        n_terms = max(1, math.ceil(decay))
-    b1, b2 = p.q1 / s2, p.q2 / s2
-    return b1, b2, b1 - b2, beta1, beta2, rho, n_terms
-
-
 def three_phase_pdf_branch(
-    p: ThreePhaseParams, x, t: float, series_tol: float = 1e-10
+    p: ThreePhaseParams, x, t: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three density branches (u1, u2, u3), each evaluated everywhere.
 
     Exposed so boundary one-sided values and fluxes can be probed directly;
-    three_phase_pdf selects the phase-appropriate branch pointwise.
-
-    The law is a piecewise-linear map of multi-skewed Brownian motion
-    (Ramirez 2011; Lejay 2006).  In y = b1 + (x-q1)/s1 above q1, y = x/s2
-    between the boundaries and y = b2 + (x-q2)/s3 below q2 (continuous at
-    both), with phi_t the centred Gaussian density of variance t:
-
-        u1 = (1+beta1)/s1 sum_n rho^n [phi_t(y+2nL) + r2 phi_t(y-2b2+2nL)]
-        u2 = (1/s2) {phi_t(y) + sum_{n>=1} rho^n [phi_t(y-2nL) + phi_t(y+2nL)]
-             + sum_n rho^n [r1 phi_t(y-2b1-2nL) + r2 phi_t(y-2b2+2nL)]}
-        u3 = (1-beta2)/s3 sum_n rho^n [phi_t(y-2nL) + r1 phi_t(y-2b1-2nL)]
-
-    with sums over n >= 0 unless marked and L = b1 - b2 (see
-    _three_phase_images for the constants).  Each branch is written in its
-    own phase's coordinate, extended linearly past that phase's boundary.
+    three_phase_pdf selects the phase-appropriate branch pointwise.  Branch k
+    is the sum of phase k's Gaussian pieces (see _gaussian_pieces), unmasked,
+    so it extends smoothly past that phase's boundaries.  In the skew
+    coordinate the pieces are the images of multi-skewed Brownian motion
+    (Ramirez 2011; Lejay 2006).
     """
-    t = _check_t(t)
-    b1, b2, span, beta1, beta2, rho, n_terms = _three_phase_images(p, series_tol)
-    r1, r2 = -beta1, beta2
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    y1 = b1 + (x_arr - p.q1) / p.sigma1
-    y2 = x_arr / p.sigma2
-    y3 = b2 + (x_arr - p.q2) / p.sigma3
-    sd = math.sqrt(t)
-
-    def phi(z: np.ndarray) -> np.ndarray:
-        return _phi(z, 0.0, sd)
-
-    u1 = np.zeros_like(x_arr)
-    u2 = phi(y2)
-    u3 = np.zeros_like(x_arr)
-    for n in range(n_terms):
-        weight = rho**n
-        shift = 2.0 * n * span
-        u1 += weight * (phi(y1 + shift) + r2 * phi(y1 - 2.0 * b2 + shift))
-        u3 += weight * (phi(y3 - shift) + r1 * phi(y3 - 2.0 * b1 - shift))
-        u2 += weight * (
-            r1 * phi(y2 - 2.0 * b1 - shift) + r2 * phi(y2 - 2.0 * b2 + shift)
-        )
-        if n > 0:
-            u2 += weight * (phi(y2 - shift) + phi(y2 + shift))
-    return (
-        (1.0 + beta1) / p.sigma1 * u1,
-        u2 / p.sigma2,
-        (1.0 - beta2) / p.sigma3 * u3,
+    return tuple(
+        _phase_sum(scale, pieces, x_arr) for _, _, scale, pieces in _pieces(p, t)
     )
 
 
-def _select_phase(p: ThreePhaseParams, x, t: float, branches, series_tol: float):
-    """Pick u1/u2/u3 by phase, clamp rounding-level negatives, raise on others."""
-    u1, u2, u3 = branches
+def _checked(x, t: float, values, tol: float):
+    """Clamp density values within tol below zero to 0, raise on lower ones."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.where(x_arr >= p.q1, u1, np.where(x_arr >= p.q2, u2, u3))
+    out = np.atleast_1d(np.asarray(values, dtype=float))
     floor = out.min()
-    if floor < -series_tol:
+    if floor < -tol:
         raise SeriesConsistencyError(
-            f"series produced density {floor:.6g} < -series_tol="
-            f"{-series_tol:.1g} at x={x_arr[out.argmin()]:.6g}, t={t}"
+            f"series produced density {floor:.6g} < -{tol:.1g} "
+            f"at x={x_arr[out.argmin()]:.6g}, t={t}"
         )
-    out = np.where((out < 0.0) & (out >= -series_tol), 0.0, out)
+    out = np.where((out < 0.0) & (out >= -tol), 0.0, out)
     return out.item() if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def three_phase_pdf(
-    p: ThreePhaseParams, x, t: float, series_tol: float = 1e-10
-):
-    """Three-phase density, selected by phase; vectorized in x.
+def three_phase_pdf(p: ThreePhaseParams, x, t: float):
+    """Three-phase density, the pieces of x's phase; vectorized in x.
 
-    Exact up to the geometric truncation of three_phase_pdf_branch.  Values
-    within series_tol of zero are clamped to 0; a negative value beyond that
-    tolerance raises SeriesConsistencyError rather than being hidden.
+    Values within rounding (1e-10) of zero are clamped to 0; a negative value
+    beyond that raises SeriesConsistencyError rather than being hidden.
     """
-    return _select_phase(
-        p, x, t, three_phase_pdf_branch(p, x, t, series_tol), series_tol
-    )
+    return _checked(x, t, _pdf(_pieces(p, t), x), 1e-10)
 
 
 def _published_branches(
@@ -533,9 +566,10 @@ def three_phase_pdf_as_published(
     three_phase_pdf applies: a value below -series_tol raises
     SeriesConsistencyError instead of being clamped.
     """
-    return _select_phase(
-        p, x, t, _published_branches(p, x, t, series_tol), series_tol
-    )
+    u1, u2, u3 = _published_branches(p, x, t, series_tol)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    values = np.where(x_arr >= p.q1, u1, np.where(x_arr >= p.q2, u2, u3))
+    return _checked(x, t, values, series_tol)
 
 
 @dataclass(frozen=True)
@@ -556,68 +590,35 @@ def density_grid(
     t: float,
     x_grid: Sequence[float],
     include_normal: bool = False,
-    series_tol: float = 1e-10,
 ) -> DensityTable:
     """Densities over a grid of x values, in grid order.
 
-    Two- and three-phase models use their closed forms; any other PhaseSystem
-    is evaluated by the finite-difference solver and flagged "numerical".  The
-    optional normal column is the zero-mean Gaussian of commensurate variance
-    (same variance as the model's law at horizon t).
+    Two-phase models, and three-phase ones with the source in the middle,
+    use their closed forms; any other PhaseSystem is evaluated by the
+    finite-difference solver and flagged "numerical".  The optional normal
+    column is the zero-mean Gaussian of commensurate variance (the variance
+    of the model's law at horizon t, from its Gaussian pieces).
     """
-    t = _check_t(t)
     x_arr = np.asarray(list(x_grid), dtype=float)
     if x_arr.size == 0:
         raise DomainError("x_grid must be nonempty")
-
-    two: TwoPhaseParams | None = None
-    three: ThreePhaseParams | None = None
-    if isinstance(model, TwoPhaseParams):
-        two = model
-    elif isinstance(model, ThreePhaseParams):
-        three = model
-    elif isinstance(model, PhaseSystem):
-        if model.n_phases == 2:
-            two = TwoPhaseParams(model.sigmas[0], model.sigmas[1], model.boundaries[0])
-        elif model.n_phases == 3 and model.source_phase == 2:
-            three = ThreePhaseParams(*model.sigmas, *model.boundaries)
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-
-    if two is not None:
-        dens = np.asarray(two_phase_pdf(two, x_arr, t), dtype=float)
+    phases = _pieces(model, t)
+    if not isinstance(model, PhaseSystem) or model.n_phases == 2 or (
+        model.n_phases == 3 and model.source_phase == 2
+    ):
+        dens = _checked(x_arr, t, _pdf(phases, x_arr), 1e-10)
         source = "closed-form"
-        variance = two_phase_moments(two, t).variance if include_normal else None
-    elif three is not None:
-        dens = np.asarray(three_phase_pdf(three, x_arr, t, series_tol), dtype=float)
-        source = "closed-form"
-        variance = None
-        if include_normal:
-            # Variance from a dedicated wide grid, independent of the caller's.
-            smax = max(three.sigma1, three.sigma2, three.sigma3)
-            span = 12.0 * smax * math.sqrt(t)
-            wide = np.linspace(three.q2 - span, three.q1 + span, 4001)
-            variance = _grid_variance(
-                wide, np.asarray(three_phase_pdf(three, wide, t, series_tol))
-            )
     else:
         from . import pde_oracle  # local import: pde_oracle depends on this module
 
         solution = pde_oracle.solve_for_system(model, t)
         dens = np.interp(x_arr, solution.x, solution.values)
         source = "numerical"
-        variance = _grid_variance(solution.x, solution.values) if include_normal else None
 
     normal = None
     if include_normal:
-        normal = _phi(x_arr, 0.0, math.sqrt(variance))
+        normal = _phase_sum(math.sqrt(_moments(phases).variance), [(1.0, 0.0)], x_arr)
     return DensityTable(x=x_arr, density=dens, normal_density=normal, source=source)
-
-
-def _grid_variance(x: np.ndarray, density: np.ndarray) -> float:
-    mass = np.trapezoid(density, x)
-    mean = np.trapezoid(x * density, x) / mass
-    return float(np.trapezoid((x - mean) ** 2 * density, x) / mass)
 
 
 def _format_sig12(value: float) -> str:

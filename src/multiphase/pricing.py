@@ -2,10 +2,13 @@
 
 The log-price increment Z_tau follows the two-phase density; discounting uses
 the exact normalizer Lambda(tau) = E[exp(Z_tau)] so that the discounted stock
-is a martingale under the pricing drift mu_bar = r - ln(Lambda(tau))/tau.  The
-closed-form price splits into four regimes by the position of the interphase
-boundary q relative to 0 and to the effective log-moneyness threshold
-m = -ln(S/K) - mu_bar*tau.
+is a martingale under the pricing drift mu_bar = r - ln(Lambda(tau))/tau.
+Both Lambda and the closed-form price are sums over the law's Gaussian
+pieces (phase_kernel._gaussian_pieces): a piece w N(z; m, s^2) on its phase
+[lo, hi) adds w e^(m + s^2/2) P(lo' <= N(m + s^2, s^2) < hi) to
+E[exp(Z); Z >= z*] and w P(lo' <= N(m, s^2) < hi) to P(Z >= z*), where
+lo' = max(lo, z*), z* = -ln(S/K) - mu_bar*tau is the exercise threshold, and
+z* = -inf gives Lambda.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .numerics import (
     integrate_adaptive,
     std_normal_cdf,
 )
-from .phase_kernel import DomainError, TwoPhaseParams, _coeffs
+from .phase_kernel import DomainError, TwoPhaseParams, _mass, _pieces
 from .phase_kernel import two_phase_moments, two_phase_pdf
 
 __all__ = [
@@ -123,29 +126,23 @@ class SurfaceRow:
     note: str = ""
 
 
+def _tilted_sums(phases, z_star: float) -> tuple[float, float]:
+    """(E[exp(Z); Z >= z*], P(Z >= z*)) summed over the Gaussian pieces."""
+    tilted = mass = 0.0
+    for lo, hi, scale, pieces in phases:
+        lo = max(lo, z_star)
+        if lo >= hi:
+            continue
+        shift = scale * scale
+        for w, m in pieces:
+            tilted += w * math.exp(m + 0.5 * shift) * _mass(lo, hi, m + shift, scale)
+            mass += w * _mass(lo, hi, m, scale)
+    return tilted, mass
+
+
 def lambda_normalizer(p: TwoPhaseParams, t: float) -> float:
-    """Exact E[exp(Z_t)] under the two-phase law (branch by sign of q)."""
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
-    s1, s2, q = p.sigma1, p.sigma2, p.q
-    r1, r2 = s1 * math.sqrt(t), s2 * math.sqrt(t)
-    a1, a2, refl, c1, c2 = _coeffs(p)
-    cdf = std_normal_cdf
-    if q > 0:
-        return float(
-            math.exp(0.5 * s1 * s1 * t) * a1 * math.exp(c1 * q)
-            * cdf((-q + s1 * s2 * t) / r2)
-            + math.exp(0.5 * s2 * s2 * t)
-            * (cdf((q - s2 * s2 * t) / r2)
-               + refl * math.exp(2.0 * q) * cdf((-q - s2 * s2 * t) / r2))
-        )
-    return float(
-        math.exp(0.5 * s1 * s1 * t)
-        * (cdf((-q + s1 * s1 * t) / r1)
-           - refl * math.exp(2.0 * q) * cdf((q + s1 * s1 * t) / r1))
-        + math.exp(0.5 * s2 * s2 * t) * a2 * math.exp(c2 * q)
-        * cdf((q - s1 * s2 * t) / r1)
-    )
+    """Exact E[exp(Z_t)] under the two-phase law."""
+    return _tilted_sums(_pieces(p, t), -math.inf)[0]
 
 
 def drift_mu_bar(p: TwoPhaseParams, rate: float, tau: float) -> float:
@@ -153,77 +150,14 @@ def drift_mu_bar(p: TwoPhaseParams, rate: float, tau: float) -> float:
     return rate - math.log(lambda_normalizer(p, tau)) / tau
 
 
-def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
-    """Closed-form call price with regime and drift diagnostics.
-
-    Regime selection (ties: q = 0 follows the q <= 0 density convention,
-    0 < q = m stays with regime 1, whose closure contains it):
-      1: 0 < q <= m       2: q > 0, q > m
-      3: q <= 0, q < m    4: m <= q <= 0
-    where m = -ln(S/K) - mu_bar*tau.  The price must respect
-    (S - K e^{-r tau})^+ <= price <= S; violations beyond 1e-10 * S raise,
-    smaller ones are clamped.
-    """
-    p = model.params
-    s1, s2, q = p.sigma1, p.sigma2, p.q
+def _price_detail(phases, lam: float, q: float, terms: OptionTerms) -> PriceDetail:
+    """price_call_detail from the law's pieces and Lambda at the terms' tau."""
     spot, strike, rate, tau = terms.spot, terms.strike, terms.rate, terms.tau
-    r1, r2 = s1 * math.sqrt(tau), s2 * math.sqrt(tau)
-    a1, a2, refl, c1, c2 = _coeffs(p)
-    cdf = std_normal_cdf
-
-    lam = lambda_normalizer(p, tau)
     mu = rate - math.log(lam) / tau
-    log_moneyness = math.log(spot / strike)
-    m = -log_moneyness - mu * tau
-
-    if 0.0 < q <= m:
-        regime = 1
-        psi1 = float(
-            a1 * math.exp((mu + 0.5 * s1 * s1 - rate) * tau + c1 * q)
-            * cdf((log_moneyness + (mu + s1 * s1) * tau + c1 * q) / r1)
-        )
-        psi2 = float(a1 * cdf((log_moneyness + mu * tau + c1 * q) / r1))
-    elif q > 0.0:
-        regime = 2
-        psi1 = float(
-            math.exp((mu + 0.5 * s2 * s2 - rate) * tau)
-            * (cdf((log_moneyness + (mu + s2 * s2) * tau) / r2)
-               - cdf((-q + s2 * s2 * tau) / r2)
-               + refl * math.exp(2.0 * q)
-               * (cdf((log_moneyness + (mu + s2 * s2) * tau + 2.0 * q) / r2)
-                  - cdf((q + s2 * s2 * tau) / r2)))
-            + a1 * math.exp((mu + 0.5 * s1 * s1 - rate) * tau + c1 * q)
-            * cdf((-q + s1 * s2 * tau) / r2)
-        )
-        psi2 = float(
-            cdf((log_moneyness + mu * tau) / r2)
-            - refl * cdf(-(log_moneyness + mu * tau + 2.0 * q) / r2)
-        )
-    elif q <= 0.0 and q < m:
-        regime = 3
-        psi1 = float(
-            math.exp((mu + 0.5 * s1 * s1 - rate) * tau)
-            * (cdf((log_moneyness + (mu + s1 * s1) * tau) / r1)
-               - refl * math.exp(2.0 * q)
-               * cdf((log_moneyness + (mu + s1 * s1) * tau + 2.0 * q) / r1))
-        )
-        psi2 = float(
-            cdf((log_moneyness + mu * tau) / r1)
-            - refl * cdf((log_moneyness + mu * tau + 2.0 * q) / r1)
-        )
-    else:
-        regime = 4
-        psi1 = float(
-            a2 * math.exp((mu + 0.5 * s2 * s2 - rate) * tau + c2 * q)
-            * (cdf((log_moneyness + (mu + s2 * s2) * tau + c2 * q) / r2)
-               - cdf((-q + s1 * s2 * tau) / r1))
-            + math.exp((mu + 0.5 * s1 * s1 - rate) * tau)
-            * (cdf((-q + s1 * s1 * tau) / r1)
-               - refl * math.exp(2.0 * q) * cdf((q + s1 * s1 * tau) / r1))
-        )
-        psi2 = float(
-            a2 * cdf((log_moneyness + mu * tau + c2 * q) / r2) - refl
-        )
+    m = -math.log(spot / strike) - mu * tau
+    tilted, psi2 = _tilted_sums(phases, m)
+    psi1 = math.exp((mu - rate) * tau) * tilted
+    regime = 1 if 0.0 < q <= m else 2 if q > 0.0 else 3 if q < m else 4
 
     price = spot * psi1 - strike * math.exp(-rate * tau) * psi2
     lower = max(0.0, spot - strike * math.exp(-rate * tau))
@@ -238,6 +172,23 @@ def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
         price=price, regime=regime, mu_bar=mu, lambda_value=lam,
         psi1=psi1, psi2=psi2,
     )
+
+
+def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
+    """Closed-form call price with regime and drift diagnostics.
+
+    price = S psi1 - K e^{-r tau} psi2, where psi1 = e^{(mu_bar - r) tau}
+    E[exp(Z); Z >= m] and psi2 = P(Z >= m) are sums over the Gaussian pieces
+    and m = -ln(S/K) - mu_bar*tau.  The regime is a label (ties: q = 0
+    follows the q <= 0 density convention, 0 < q = m stays with regime 1):
+      1: 0 < q <= m       2: q > 0, q > m
+      3: q <= 0, q < m    4: m <= q <= 0
+    The price must respect (S - K e^{-r tau})^+ <= price <= S; violations
+    beyond 1e-10 * S raise, smaller ones are clamped.
+    """
+    phases = _pieces(model.params, terms.tau)
+    lam = _tilted_sums(phases, -math.inf)[0]
+    return _price_detail(phases, lam, model.params.q, terms)
 
 
 def price_call(model: PricingModel, terms: OptionTerms) -> float:
@@ -345,19 +296,22 @@ def surface(
 ) -> list[SurfaceRow]:
     """Implied-vol surface rows over a strike x maturity grid.
 
-    Per-cell failures (price at a vol bound, bracket failure) are recorded in
+    The Gaussian pieces and Lambda are built once per maturity.  Per-cell
+    failures (price at a vol bound, bracket failure) are recorded in
     the row's note with implied_vol = nan; generation continues.
     """
     rows: list[SurfaceRow] = []
     for tau_days in taus_days:
         terms_tau = tau_days / day_count
+        phases = _pieces(model.params, terms_tau)
+        lam = _tilted_sums(phases, -math.inf)[0]
         sigma_ref = commensurate_volatility(model.params, terms_tau)
         for strike in strikes:
             terms = OptionTerms(
                 spot=spot, strike=strike, rate=rate,
                 tau_days=tau_days, day_count=day_count,
             )
-            price = price_call(model, terms)
+            price = _price_detail(phases, lam, model.params.q, terms).price
             bs_ref = black_scholes_call(spot, strike, rate, sigma_ref, terms_tau)
             try:
                 vol = implied_vol(price, spot, strike, rate, terms_tau)

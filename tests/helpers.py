@@ -117,6 +117,46 @@ def three_phase_normalization_error(p: ThreePhaseParams, t: float) -> float:
     return abs(total - 1.0)
 
 
+def three_phase_quadrature_moments(p: ThreePhaseParams, t: float):
+    """(mean, variance, skewness, kurtosis) of the three-phase density by
+    phase-by-phase composite Gauss-Legendre quadrature (as in
+    three_phase_normalization_error), normalized by the quadrature mass."""
+    root_t = math.sqrt(t)
+    f = lambda x: three_phase_pdf(p, x, t)
+    pieces = [
+        (p.q1, p.q1 + 12.0 * p.sigma1 * root_t, p.sigma1),
+        (p.q2, p.q1, p.sigma2),
+        (p.q2 - 12.0 * p.sigma3 * root_t, p.q2, p.sigma3),
+    ]
+
+    def integral(g):
+        return sum(
+            _composite_gauss_legendre(
+                lambda x: g(x) * f(x), a, b, 0.25 * sigma * root_t
+            )
+            for a, b, sigma in pieces
+        )
+
+    mass = integral(lambda x: 1.0)
+    mean = integral(lambda x: x) / mass
+    var = integral(lambda x: (x - mean) ** 2) / mass
+    mu3 = integral(lambda x: (x - mean) ** 3) / mass
+    mu4 = integral(lambda x: (x - mean) ** 4) / mass
+    return mean, var, mu3 / var**1.5, mu4 / var**2
+
+
+def three_phase_quadrature_cdf(p: ThreePhaseParams, x: float, t: float) -> float:
+    """Adaptive quadrature of three_phase_pdf from 12 scales below q2 up to x,
+    split at the kinks q2 and q1 and at the source."""
+    lo = p.q2 - 12.0 * max(p.sigma1, p.sigma2, p.sigma3) * math.sqrt(t)
+    breaks = [lo] + sorted(b for b in (p.q2, 0.0, p.q1) if lo < b < x) + [x]
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
+    return sum(
+        integrate_adaptive(lambda y: three_phase_pdf(p, y, t), a, b, spec)[0]
+        for a, b in zip(breaks[:-1], breaks[1:])
+    )
+
+
 def three_phase_continuity_mismatch(p: ThreePhaseParams, t: float) -> float:
     """Largest |u(q-) - u(q+)| at q1 and q2, a single ulp off each boundary."""
     f = lambda x: three_phase_pdf(p, x, t)

@@ -9,8 +9,20 @@ import os
 import numpy as np
 import pytest
 
+from helpers import three_phase_quadrature_cdf, three_phase_quadrature_moments
 from multiphase.cli import run
-from multiphase.phase_kernel import TwoPhaseParams, two_phase_pdf
+from multiphase.phase_kernel import ThreePhaseParams, TwoPhaseParams, two_phase_pdf
+
+THREE_FLAGS = [
+    "--model", "three-phase",
+    "--sigma1", "0.2",
+    "--sigma2", "0.3",
+    "--sigma3", "0.25",
+    "--q1", "0.4",
+    "--q2", "-0.3",
+    "--t", "1",
+]
+THREE = ThreePhaseParams(0.2, 0.3, 0.25, 0.4, -0.3)
 
 
 def invoke(argv):
@@ -84,6 +96,15 @@ class TestCdfCommand:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[0] < 0.01 and values[-1] > 0.99
 
+    def test_three_phase_matches_quadrature(self):
+        # The three-phase cdf is a closed form, not a trapezoid of the pdf.
+        status, out, _ = invoke(["cdf", *THREE_FLAGS, "--x-grid", "-1.2:1.2:9"])
+        assert status == 0
+        _, data = parse_csv(out)
+        for row in data:
+            x, value = float(row[0]), float(row[1])
+            assert abs(value - three_phase_quadrature_cdf(THREE, x, 1.0)) <= 1e-10
+
 
 class TestMomentsCommand:
     def test_q_sweep(self):
@@ -102,6 +123,17 @@ class TestMomentsCommand:
         assert header[0] == "q"
         assert len(data) == 5
         assert {"mean", "variance", "skewness", "kurtosis"} <= set(header)
+
+    def test_three_phase_matches_quadrature(self):
+        status, out, _ = invoke(["moments", *THREE_FLAGS])
+        assert status == 0
+        header, data = parse_csv(out)
+        row = dict(zip(header, map(float, data[0])))
+        mean, var, skew, kurt = three_phase_quadrature_moments(THREE, 1.0)
+        assert abs(row["mean"] - mean) <= 1e-10 * math.sqrt(var)
+        assert abs(row["variance"] - var) <= 1e-10 * var
+        assert abs(row["skewness"] - skew) <= 1e-8
+        assert abs(row["kurtosis"] - kurt) <= 1e-8
 
 
 class TestSampleCommand:

@@ -19,6 +19,7 @@ from helpers import (
     three_phase_continuity_mismatch,
     three_phase_flux_mismatch,
     three_phase_normalization_error,
+    three_phase_quadrature_moments,
 )
 from multiphase.numerics import QuadratureSpec, RngState, integrate_adaptive
 from multiphase.phase_kernel import (
@@ -36,6 +37,9 @@ from multiphase.phase_kernel import (
     two_phase_pdf,
     two_phase_sample,
     write_density_csv,
+    _cdf,
+    _moments,
+    _pieces,
 )
 
 CANONICAL = TwoPhaseParams(0.2, 0.3, -0.1)
@@ -252,9 +256,7 @@ class TestTwoPhaseSample:
         n = 10**5
         draws, _ = two_phase_sample(CANONICAL, 1.0, n, RngState(seed=31))
         sorted_draws = np.sort(draws)
-        cdf_values = np.array(
-            [two_phase_cdf(CANONICAL, x, 1.0) for x in sorted_draws]
-        )
+        cdf_values = np.asarray(two_phase_cdf(CANONICAL, sorted_draws, 1.0))
         ranks = np.arange(1, n + 1)
         ks = max(
             np.max(ranks / n - cdf_values), np.max(cdf_values - (ranks - 1) / n)
@@ -399,6 +401,23 @@ class TestDensityGrid:
         assert table.source == "numerical"
         assert np.all(table.density >= -1e-10)
 
+    def test_generic_system_normal_column_variance(self):
+        # The normal column of a four-phase system takes the variance of the
+        # Gaussian pieces; the solver's grid gives it independently.
+        from multiphase.pde_oracle import solve_for_system
+
+        sys_ = PhaseSystem(
+            sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)
+        )
+        table = density_grid(sys_, 0.5, [0.0], include_normal=True)
+        variance = 1.0 / (2.0 * math.pi * table.normal_density[0] ** 2)
+        solution = solve_for_system(sys_, 0.5)
+        x, u = solution.x, solution.values
+        mass = np.trapezoid(u, x)
+        mean = np.trapezoid(x * u, x) / mass
+        grid_variance = np.trapezoid((x - mean) ** 2 * u, x) / mass
+        assert abs(variance - grid_variance) <= 1e-3 * grid_variance
+
     def test_csv_serialization(self):
         xs = np.linspace(-0.5, 0.5, 11)
         table = density_grid(CANONICAL, 1.0, xs, include_normal=True)
@@ -513,3 +532,9 @@ def test_three_phase_invariants_property(sigma1, sigma2, sigma3, q1, q2, t):
     assert three_phase_normalization_error(p, t) <= 1e-8
     assert three_phase_continuity_mismatch(p, t) <= 1e-9 * peak
     assert three_phase_flux_mismatch(p, t) <= 1e-8 * peak * sigma2 / math.sqrt(t)
+    # The closed-form cdf and moments of the Gaussian pieces.
+    pieces = _pieces(p, t)
+    far = q1 + 40.0 * max(sigma1, sigma2, sigma3) * math.sqrt(t)
+    assert abs(_cdf(pieces, far) - 1.0) <= 1e-12
+    _, var, _, _ = three_phase_quadrature_moments(p, t)
+    assert abs(_moments(pieces).variance - var) <= 1e-10 * var
