@@ -48,7 +48,7 @@ from .pde_oracle import (
     chapman_kolmogorov_check,
     report_to_json,
     solution_report,
-    solve_system,
+    solve_for_system,
     verify_identity_A10,
     verify_identity_A14,
 )
@@ -325,13 +325,9 @@ def _cmd_check_pde(args, stdout, stderr) -> int:
     else:
         system = PhaseSystem.from_three_phase(params)
     reference = lambda x: _pdf(_pieces(system, args.t_end), x)
-    smax = max(system.sigmas)
-    span = 8.5 * smax * math.sqrt(args.t_end)
-    lo = min((*system.boundaries, 0.0)) - span
-    hi = max((*system.boundaries, 0.0)) + span
-    grid = SolverGrid(x_min=lo, x_max=hi, nx=args.nx, dt=args.dt,
-                      t_warm=args.t_warm)
-    solution = solve_system(system, grid, args.t_end)
+    solution = solve_for_system(
+        system, args.t_end, nx=args.nx, dt=args.dt, t_warm=args.t_warm
+    )
     report = solution_report(solution, reference, window=(-args.window, args.window))
     report["pass"] = bool(report["sup_error_vs_closed_form"] <= args.tolerance)
     report["tolerance"] = args.tolerance

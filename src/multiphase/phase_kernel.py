@@ -593,19 +593,18 @@ def density_grid(
 ) -> DensityTable:
     """Densities over a grid of x values, in grid order.
 
-    Two-phase models, and three-phase ones with the source in the middle,
-    use their closed forms; any other PhaseSystem is evaluated by the
-    finite-difference solver and flagged "numerical".  The optional normal
-    column is the zero-mean Gaussian of commensurate variance (the variance
-    of the model's law at horizon t, from its Gaussian pieces).
+    Models of up to three phases, the source in any of them, use their
+    closed forms; a PhaseSystem of four or more phases, whose piece count
+    grows fast with N, is evaluated by the finite-volume solver and flagged
+    "numerical".  The optional normal column is the zero-mean Gaussian of
+    commensurate variance (the variance of the model's law at horizon t,
+    from its Gaussian pieces).
     """
     x_arr = np.asarray(list(x_grid), dtype=float)
     if x_arr.size == 0:
         raise DomainError("x_grid must be nonempty")
     phases = _pieces(model, t)
-    if not isinstance(model, PhaseSystem) or model.n_phases == 2 or (
-        model.n_phases == 3 and model.source_phase == 2
-    ):
+    if not isinstance(model, PhaseSystem) or model.n_phases <= 3:
         dens = _checked(x_arr, t, _pdf(phases, x_arr), 1e-10)
         source = "closed-form"
     else:

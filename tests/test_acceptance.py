@@ -140,8 +140,8 @@ def test_criterion_4_pde_cross_validation_two_phase():
 
 def test_criterion_4_pde_cross_validation_three_phase():
     """Three-phase closed form vs conservative solve at nx=2001, dt=1e-4:
-    relative sup error <= 1e-3 (the solve starts from a plain Gaussian, not
-    from the closed form)."""
+    relative sup error <= 1e-3 (the solve starts from a discrete delta at 0,
+    not from the closed form)."""
     start = time.perf_counter()
     sys_ = PhaseSystem.from_three_phase(THREE_CANONICAL)
     reference = lambda x: three_phase_pdf(THREE_CANONICAL, x, 1.0)

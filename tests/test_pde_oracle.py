@@ -20,11 +20,15 @@ from multiphase.pde_oracle import (
     verify_identity_A14,
     write_solution_csv,
 )
+from multiphase import pde_oracle, phase_kernel
 from multiphase.phase_kernel import (
     DomainError,
     PhaseSystem,
     ThreePhaseParams,
     TwoPhaseParams,
+    _pdf,
+    _pieces,
+    three_phase_pdf,
     three_phase_pdf_branch,
     two_phase_pdf,
 )
@@ -113,11 +117,54 @@ class TestSolveSystem:
             0.8 - grid.t_warm, abs=1e-12
         )
 
+    def test_independent_of_closed_forms(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve called a closed form")
+
+        grid = SolverGrid(x_min=-3.2, x_max=3.4, nx=1001, dt=1e-3)
+        with monkeypatch.context() as patch:
+            patch.setattr(phase_kernel, "_gaussian_pieces", refuse)
+            patch.setattr(pde_oracle, "two_phase_pdf", refuse)
+            two = solve_system(PhaseSystem.from_two_phase(CANONICAL), grid, 1.0)
+            three = solve_system(
+                PhaseSystem.from_three_phase(THREE_CANONICAL), grid, 1.0
+            )
+        for solution, exact in [
+            (two, two_phase_pdf(CANONICAL, two.x, 1.0)),
+            (three, three_phase_pdf(THREE_CANONICAL, three.x, 1.0)),
+        ]:
+            rel = np.max(np.abs(solution.values - exact)) / np.max(exact)
+            assert rel <= 1e-3
+
     def test_generic_four_phase_solves(self):
         sys_ = PhaseSystem(sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4))
         solution = solve_for_system(sys_, 0.5, nx=801, dt=1e-3)
         assert abs(solution.mass - 1.0) <= 1e-4
         assert float(np.min(solution.values)) >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "sys_",
+    [
+        PhaseSystem(sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)),
+        PhaseSystem(
+            sigmas=(0.2, 0.35, 0.25, 0.3, 0.22),
+            boundaries=(0.6, 0.25, -0.15, -0.5),
+        ),
+    ],
+    ids=["four-phase", "five-phase"],
+)
+def test_many_phase_convergence_to_pieces(sys_):
+    # Every boundary is a cell face, so the error falls at second order
+    # instead of stalling at the distance a boundary was moved to fit the grid.
+    errors = []
+    for nx, dt in [(2001, 1e-3), (4001, 5e-4)]:
+        solution = solve_for_system(sys_, 0.5, nx=nx, dt=dt)
+        assert max(solution.boundary_snap) <= 1e-12
+        exact = _pdf(_pieces(sys_, 0.5), solution.x)
+        errors.append(np.max(np.abs(solution.values - exact)) / np.max(exact))
+    assert errors[0] <= 1e-3
+    assert errors[0] / errors[1] >= 3.0
 
 
 class TestChapmanKolmogorov:

@@ -401,6 +401,16 @@ class TestDensityGrid:
         assert table.source == "numerical"
         assert np.all(table.density >= -1e-10)
 
+    def test_three_phase_outer_source_closed_form(self):
+        from multiphase.pde_oracle import solve_for_system
+
+        sys_ = PhaseSystem(sigmas=(0.2, 0.3, 0.25), boundaries=(-0.2, -0.5))
+        solution = solve_for_system(sys_, 0.5)
+        table = density_grid(sys_, 0.5, solution.x)
+        assert table.source == "closed-form"
+        rel = np.max(np.abs(table.density - solution.values)) / np.max(table.density)
+        assert rel <= 1e-3
+
     def test_generic_system_normal_column_variance(self):
         # The normal column of a four-phase system takes the variance of the
         # Gaussian pieces; the solver's grid gives it independently.
