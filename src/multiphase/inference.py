@@ -4,6 +4,12 @@ The alternative model is the exact two-phase density (sigma1, sigma2, q); the
 null is a zero-mean Gaussian, nested at sigma1 = sigma2.  The likelihood-ratio
 statistic is mapped to a p-value by the one-degree chi-squared upper tail,
 p = erfc(sqrt(lr / 2)).
+
+Two evaluations of the log-likelihood share one formula: _loglik_terms gives
+the per-observation terms (log_likelihood_two_phase reports which of them are
+non-finite), and _sorted_loglik gives their sum on a sample sorted once per
+fit, splitting it at q into two slices and working in a preallocated buffer,
+so the objective the optimizer calls makes no sample-sized allocation.
 """
 
 from __future__ import annotations
@@ -251,17 +257,65 @@ def lr_test(loglik_alt: float, loglik_null: float) -> tuple[float, float]:
     return lr, p_value
 
 
-def _neg_loglik_theta(theta: np.ndarray, x: np.ndarray, t: float) -> float:
-    """Objective in unconstrained coordinates (log sigma1, log sigma2, q)."""
+def _sorted_loglik(
+    p: TwoPhaseParams, x: np.ndarray, x2: np.ndarray, t: float, work: np.ndarray
+) -> float:
+    """Total log-likelihood of an ascending sample x, with x2 = x*x.
+
+    The same sum as _loglik_terms(p, x, t).sum(), without masks or
+    temporaries: one searchsorted splits x at q into two slices, and every
+    array pass writes into the caller's scratch buffer work (same shape as x).
+    On the single-Gaussian side the squares come from one dot product of
+    x - c*q.  On the mixed side the main exponent sums x2 and the image term
+    is log1p(+-refl * exp(z)) with z = 2q(x - q)/s^2, the exact value of
+    e_image - e_main; z <= 0 there, so nothing overflows.  Sums of (x - m)^2
+    are never expanded into sum x^2 - 2m sum x + k m^2: at the tiny scales
+    the simplex visits, that difference of large sums loses every digit.
+    """
+    s1 = p.sigma1 * math.sqrt(t)
+    s2 = p.sigma2 * math.sqrt(t)
+    a1, a2, refl, c1, c2 = _coeffs(p)
+    q = float(p.q)
+    k = int(np.searchsorted(x, q))  # x[:k] < q <= x[k:]
+    if q > 0:
+        single, s, log_a, c = slice(k, None), s1, math.log(a1), c1
+        mixed, s_mix, r = slice(None, k), s2, refl
+    else:
+        single, s, log_a, c = slice(None, k), s2, math.log(a2), c2
+        mixed, s_mix, r = slice(k, None), s1, -refl
+
+    d = np.subtract(x[single], c * q, out=work[single])
+    total = d.size * (log_a - math.log(s) - _LOG_SQRT_2PI) - 0.5 * float(
+        np.dot(d, d)
+    ) / (s * s)
+
+    z = work[mixed]
+    np.subtract(x[mixed], q, out=z)
+    np.multiply(z, 2.0 * q / (s_mix * s_mix), out=z)
+    np.exp(z, out=z)
+    np.multiply(z, r, out=z)
+    np.log1p(z, out=z)
+    total += (
+        float(z.sum())
+        - 0.5 * float(x2[mixed].sum()) / (s_mix * s_mix)
+        - z.size * (math.log(s_mix) + _LOG_SQRT_2PI)
+    )
+    return total
+
+
+def _neg_loglik_theta(
+    theta: np.ndarray, x: np.ndarray, x2: np.ndarray, t: float, work: np.ndarray
+) -> float:
+    """Objective in unconstrained coordinates (log sigma1, log sigma2, q) on
+    an ascending sample (see _sorted_loglik)."""
     sigma1 = math.exp(theta[0])
     sigma2 = math.exp(theta[1])
     if not (1e-12 < sigma1 < 1e12 and 1e-12 < sigma2 < 1e12):
         return 1e300
-    p = TwoPhaseParams(sigma1, sigma2, theta[2])
-    terms = _loglik_terms(p, x, t)
-    if not np.all(np.isfinite(terms)):
+    total = _sorted_loglik(TwoPhaseParams(sigma1, sigma2, theta[2]), x, x2, t, work)
+    if not math.isfinite(total):
         return 1e300
-    return -float(terms.sum())
+    return -total
 
 
 def _gradient(fn, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -325,8 +379,10 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     delta method mapping log-scale variances back to sigma; they are flagged
     approximate when q_hat sits within 1e-6 of a data point, where the
     likelihood has a kink.  The sample is sorted once (the likelihood ignores
-    order, so a permutation gives an identical report); n_evaluations counts
-    every objective call, the final one and the standard-error Hessian's too.
+    order, so a permutation gives an identical report), and every objective
+    call evaluates _sorted_loglik on it with x*x and a scratch buffer built
+    once per fit; n_evaluations counts every objective call, the final one
+    and the standard-error Hessian's too.
     """
     cfg = config or FitConfig()
     if sample.size < 10:
@@ -342,12 +398,14 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     sigma_null, loglik_null = fit_normal_null(sample)
     se_sigma_null = sigma_null / math.sqrt(2.0 * sample.size)
 
+    x2 = x * x
+    work = np.empty_like(x)
     n_evaluations = 0
 
     def fn(theta: np.ndarray) -> float:
         nonlocal n_evaluations
         n_evaluations += 1
-        return _neg_loglik_theta(theta, x, sample.t)
+        return _neg_loglik_theta(theta, x, x2, sample.t, work)
 
     log_s = math.log(sigma_null)
     width = sigma_null * math.sqrt(sample.t)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .numerics import QuadratureSpec, erfc, integrate_adaptive
 from .phase_kernel import (
@@ -89,23 +88,26 @@ def _steppers(h: np.ndarray, conductance: np.ndarray, dt: float):
     """A Crank-Nicolson step of length dt and an implicit-Euler step of dt/2.
 
     Both solve (h + dt/2 L) u' = rhs, L the conductance Laplacian, so they
-    share one factorization: rhs is (h - dt/2 L) u for the first, h u for
-    the second.
+    share one tridiagonal LU factorization (LAPACK dgttrf, solved by dgttrs):
+    rhs is (h - dt/2 L) u for the first, h u for the second.
     """
     coupling = 0.5 * dt * conductance
     main = h.copy()
     main[:-1] += coupling
     main[1:] += coupling
-    lu = splu(diags([-coupling, main, -coupling], [-1, 0, 1], format="csc"))
+    dl, d, du, du2, ipiv, _ = dgttrf(-coupling, main, -coupling)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)[0]
 
     def step(u: np.ndarray) -> np.ndarray:
         flux = coupling * (u[1:] - u[:-1])
         rhs = h * u
         rhs[:-1] += flux
         rhs[1:] -= flux
-        return lu.solve(rhs)
+        return solve(rhs)
 
-    return step, lambda u: lu.solve(h * u)
+    return step, lambda u: solve(h * u)
 
 
 def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSolution:

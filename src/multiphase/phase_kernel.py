@@ -596,15 +596,18 @@ def density_grid(
     Models of up to three phases, the source in any of them, use their
     closed forms; a PhaseSystem of four or more phases, whose piece count
     grows fast with N, is evaluated by the finite-volume solver and flagged
-    "numerical".  The optional normal column is the zero-mean Gaussian of
-    commensurate variance (the variance of the model's law at horizon t,
-    from its Gaussian pieces).
+    "numerical"; it builds its pieces only for the normal column.  The
+    optional normal column is the zero-mean Gaussian of commensurate
+    variance (the variance of the model's law at horizon t, from its
+    Gaussian pieces).
     """
+    t = _check_t(t)
     x_arr = np.asarray(list(x_grid), dtype=float)
     if x_arr.size == 0:
         raise DomainError("x_grid must be nonempty")
-    phases = _pieces(model, t)
-    if not isinstance(model, PhaseSystem) or model.n_phases <= 3:
+    closed_form = not isinstance(model, PhaseSystem) or model.n_phases <= 3
+    phases = _pieces(model, t) if closed_form or include_normal else None
+    if closed_form:
         dens = _checked(x_arr, t, _pdf(phases, x_arr), 1e-10)
         source = "closed-form"
     else:

@@ -6,7 +6,7 @@ numbers documented in the README:
 
 * ``test_criterion_7_null_calibration`` — the likelihood-ratio test is not
   chi-square(1) calibrated because the boundary parameter is unidentified
-  under the null (measured rejection rate 36.0% vs the required [2%, 10%]).
+  under the null (measured rejection rate 36.1% vs the required [2%, 10%]).
 """
 
 import csv
@@ -267,7 +267,7 @@ def test_criterion_7_synthetic_recovery():
 
 def test_criterion_7_null_calibration():
     """KNOWN-DEFECT: the 5%-level rejection rate under a Gaussian null must
-    lie in [2%, 10%]; measured 36.0% (360/1000) because the boundary
+    lie in [2%, 10%]; measured 36.1% (361/1000) because the boundary
     parameter is unidentified under the null, so the statistic is the
     supremum of a chi-square(1) field rather than a single chi-square(1)."""
     start = time.perf_counter()

@@ -2,10 +2,14 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multiphase.inference as inference
 from multiphase.inference import (
     DegenerateSampleError,
     FitConfig,
@@ -107,6 +111,89 @@ class TestLogLikelihood:
             expected = sum(math.log(two_phase_pdf(p, xi, t)) for xi in x)
             value = log_likelihood_two_phase(p, sample)
             assert value == pytest.approx(expected, abs=1e-10)
+
+
+def sorted_loglik(p, x, t):
+    """The fit's kernel on x, with fresh x2 and scratch buffers."""
+    return inference._sorted_loglik(p, x, x * x, t, np.empty_like(x))
+
+
+def summand_scale(p, x, t):
+    """Sum of the magnitudes of the per-observation terms: the scale that
+    rounding in either summation order is relative to (the total itself can
+    cancel to near zero)."""
+    return float(np.abs(inference._loglik_terms(p, x, t)).sum())
+
+
+@st.composite
+def sorted_kernel_cases(draw):
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60))
+    x = np.sort(np.array(values, dtype=float))
+    small = 10.0 ** draw(st.floats(-11.0, 0.0))
+    ratio = 10.0 ** draw(st.floats(0.0, 4.0))
+    sigma1, sigma2 = small, small * ratio
+    if draw(st.booleans()):
+        sigma1, sigma2 = sigma2, sigma1
+    where = draw(st.sampled_from(["free", "at", "below", "above", "outside"]))
+    if where == "free":
+        q = draw(st.floats(-1.0, 1.0))
+    elif where == "outside":
+        q = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0 + 1e-9, 10.0))
+    else:
+        xi = float(x[draw(st.integers(0, x.size - 1))])
+        toward = {"at": xi, "below": -np.inf, "above": np.inf}[where]
+        q = np.nextafter(xi, toward)
+    t = draw(st.floats(0.01, 10.0))
+    return TwoPhaseParams(sigma1, sigma2, float(q)), x, t
+
+
+class TestSortedLoglik:
+    @settings(max_examples=300, deadline=None)
+    @given(case=sorted_kernel_cases())
+    def test_matches_per_observation_terms(self, case):
+        # Both signs of q, q at a data point and one ulp either side of it, q
+        # outside all data, sigma ratios up to 1e4 and sigma down to 1e-11.
+        p, x, t = case
+        expected = float(inference._loglik_terms(p, x, t).sum())
+        value = sorted_loglik(p, x, t)
+        assert math.isfinite(expected) and math.isfinite(value)
+        assert abs(value - expected) <= 1e-12 * summand_scale(p, x, t)
+
+    def test_tiny_sigma_point_of_a_gaussian_fit(self):
+        # Gaussian n = 500 sample (PCG64 seed [1, 1], scale 0.01) at the point
+        # sigma2 = 7.3e-11 that the simplex reaches on it.  Expanding
+        # sum (x - m)^2 as sum x^2 - 2 m sum x + k m^2 there reports 1629.50
+        # against the true 1615.74; the fit must report the true value.
+        x = np.sort(np.random.Generator(np.random.PCG64([1, 1])).normal(0.0, 0.01, 500))
+        p = TwoPhaseParams(
+            0.009678594843092001, 7.296131776713791e-11, -0.02481027536224259
+        )
+        expected = float(inference._loglik_terms(p, x, 1.0).sum())
+        assert expected == pytest.approx(1615.7373454210267, rel=1e-12)
+        error = abs(sorted_loglik(p, x, 1.0) - expected)
+        assert error <= 1e-12 * summand_scale(p, x, 1.0)
+        report = fit_two_phase(ReturnSample(x))
+        fitted = TwoPhaseParams(report.sigma1_hat, report.sigma2_hat, report.q_hat)
+        assert report.loglik_alt == pytest.approx(
+            log_likelihood_two_phase(fitted, ReturnSample(x)), rel=1e-10
+        )
+
+    def test_call_allocates_no_sample_sized_arrays(self):
+        draws, _ = two_phase_sample(
+            TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 5 * 10**4, RngState(seed=3)
+        )
+        x = np.sort(draws)
+        x2, work = x * x, np.empty_like(x)
+        for q in (-0.02, 0.01):
+            p = TwoPhaseParams(0.011, 0.03, q)
+            inference._sorted_loglik(p, x, x2, 1.0, work)
+            tracemalloc.start()
+            try:
+                inference._sorted_loglik(p, x, x2, 1.0, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
 
 
 class TestFitNormalNull:
@@ -211,17 +298,15 @@ class TestFitTwoPhase:
             )
 
     def test_n_evaluations_counts_objective_calls(self, monkeypatch):
-        import multiphase.inference as inference
-
         calls = 0
-        original = inference._loglik_terms
+        original = inference._sorted_loglik
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return original(*args)
 
-        monkeypatch.setattr(inference, "_loglik_terms", counted)
+        monkeypatch.setattr(inference, "_sorted_loglik", counted)
         x = RngState(seed=40000).generator().normal(0.0, 0.01, size=500)
         report = fit_two_phase(ReturnSample(x))
         assert report.n_evaluations == calls

@@ -401,6 +401,20 @@ class TestDensityGrid:
         assert table.source == "numerical"
         assert np.all(table.density >= -1e-10)
 
+    def test_generic_system_builds_no_pieces_without_normal_column(self, monkeypatch):
+        import multiphase.phase_kernel as kernel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver path built the Gaussian pieces")
+
+        sys_ = PhaseSystem(
+            sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)
+        )
+        monkeypatch.setattr(kernel, "_gaussian_pieces", refuse)
+        table = density_grid(sys_, 0.5, np.linspace(-0.8, 0.8, 41))
+        assert table.source == "numerical"
+        assert table.normal_density is None
+
     def test_three_phase_outer_source_closed_form(self):
         from multiphase.pde_oracle import solve_for_system
 
