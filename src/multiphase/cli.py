@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -22,12 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .numerics import (
-    BracketError,
-    HessianError,
-    QuadratureError,
-    RngState,
-)
+from .numerics import QuadratureError, RngState
 from .phase_kernel import (
     DomainError,
     PhaseSystem,
@@ -52,19 +48,11 @@ from .pde_oracle import (
     verify_identity_A10,
     verify_identity_A14,
 )
-from .inference import (
-    DegenerateSampleError,
-    FitConfig,
-    IngestionError,
-    NestingError,
-    fit_two_phase,
-    load_returns,
-)
+from .inference import FitConfig, NestingError, fit_two_phase, load_returns
 from .pricing import (
     OptionTerms,
     PricingError,
     PricingModel,
-    VolBoundsError,
     price_call_detail,
     surface,
     write_surface_csv,
@@ -72,18 +60,13 @@ from .pricing import (
 
 __all__ = ["run", "main", "entrypoint"]
 
+#: ValueError covers every domain, bracket, bounds and ingestion error.
 _NUMERIC_ERRORS = (
-    DomainError,
     SeriesConsistencyError,
     SolverFailure,
     QuadratureError,
-    BracketError,
-    HessianError,
     PricingError,
-    VolBoundsError,
     NestingError,
-    DegenerateSampleError,
-    IngestionError,
     ValueError,
     OSError,
 )
@@ -382,6 +365,7 @@ def _cmd_check_identities(args, stdout, stderr) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="multiphase",

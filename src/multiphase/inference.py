@@ -8,12 +8,12 @@ in q and reports the Davies (1987) upper bound for that supremum as its
 p-value; the one-degree chi-squared tail p = erfc(sqrt(lr / 2)) is kept
 alongside (lr_test).
 
-Three evaluations of the log-likelihood share one formula: _loglik_terms gives
-the per-observation terms (log_likelihood_two_phase reports which of them are
-non-finite), _sorted_loglik gives their sum on a sample sorted once, and the
-profile kernel (_profile_split, _profile_terms, _profile_scores) gives the
-sum with its score and Hessian in the two log scales at fixed q.  All split
-the sorted sample at q into two slices and work in preallocated buffers, so
+Two evaluations of the log-likelihood share one formula: _loglik_terms gives
+the per-observation terms (log_likelihood_two_phase sums them and reports
+which are non-finite), and the profile kernel (_profile_split,
+_profile_terms, _profile_scores), which the fit runs, gives their sum with
+its score and Hessian in the two log scales at fixed q.  The kernel splits
+the sorted sample at q into two slices and works in preallocated buffers, so
 no call makes a sample-sized allocation.
 """
 
@@ -206,26 +206,29 @@ def _loglik_terms(p: TwoPhaseParams, x: np.ndarray, t: float) -> np.ndarray:
 
     On each side of q the density is either a single scaled Gaussian or a sum
     of two whose first exponent dominates, so the mixture term is a log1p of a
-    ratio that never exceeds one in magnitude.
+    ratio that never exceeds one in magnitude.  Two forms avoid cancellation:
+    the single Gaussian's standardised distance (x - c q)/s_own,
+    c = 1 - s_own/s_other, is taken as (x - q)/s_own + q/s_other, and the
+    image exponent less the main one as z = 2q(x - q)/s^2 (<= 0 on that
+    side), not as a difference of two large exponents.
     """
     s1 = p.sigma1 * math.sqrt(t)
     s2 = p.sigma2 * math.sqrt(t)
-    a1, a2, refl, c1, c2 = _coeffs(p)
+    a1, a2, refl = _coeffs(p)
     out = np.empty_like(x)
     if p.q > 0:
         hi = x >= p.q
         out[hi] = (
             math.log(a1)
-            - 0.5 * ((x[hi] - c1 * p.q) / s1) ** 2
+            - 0.5 * ((x[hi] - p.q) / s1 + p.q / s2) ** 2
             - math.log(s1)
             - _LOG_SQRT_2PI
         )
         lo = ~hi
-        e_main = -0.5 * (x[lo] / s2) ** 2
-        e_image = -0.5 * ((x[lo] - 2.0 * p.q) / s2) ** 2
+        z = 2.0 * p.q * (x[lo] - p.q) / (s2 * s2)
         out[lo] = (
-            e_main
-            + np.log1p(refl * np.exp(e_image - e_main))
+            -0.5 * (x[lo] / s2) ** 2
+            + np.log1p(refl * np.exp(z))
             - math.log(s2)
             - _LOG_SQRT_2PI
         )
@@ -233,16 +236,15 @@ def _loglik_terms(p: TwoPhaseParams, x: np.ndarray, t: float) -> np.ndarray:
         lo = x < p.q
         out[lo] = (
             math.log(a2)
-            - 0.5 * ((x[lo] - c2 * p.q) / s2) ** 2
+            - 0.5 * ((x[lo] - p.q) / s2 + p.q / s1) ** 2
             - math.log(s2)
             - _LOG_SQRT_2PI
         )
         hi = ~lo
-        e_main = -0.5 * (x[hi] / s1) ** 2
-        e_image = -0.5 * ((x[hi] - 2.0 * p.q) / s1) ** 2
+        z = 2.0 * p.q * (x[hi] - p.q) / (s1 * s1)
         out[hi] = (
-            e_main
-            + np.log1p(-refl * np.exp(e_image - e_main))
+            -0.5 * (x[hi] / s1) ** 2
+            + np.log1p(-refl * np.exp(z))
             - math.log(s1)
             - _LOG_SQRT_2PI
         )
@@ -298,52 +300,6 @@ def lr_test(loglik_alt: float, loglik_null: float) -> tuple[float, float]:
     lr = max(0.0, 2.0 * (loglik_alt - loglik_null))
     p_value = float(erfc(math.sqrt(lr / 2.0)))
     return lr, p_value
-
-
-def _sorted_loglik(
-    p: TwoPhaseParams, x: np.ndarray, x2: np.ndarray, t: float, work: np.ndarray
-) -> float:
-    """Total log-likelihood of an ascending sample x, with x2 = x*x.
-
-    The same sum as _loglik_terms(p, x, t).sum(), without masks or
-    temporaries: one searchsorted splits x at q into two slices, and every
-    array pass writes into the caller's scratch buffer work (same shape as x).
-    On the single-Gaussian side the squares come from one dot product of
-    x - c*q.  On the mixed side the main exponent sums x2 and the image term
-    is log1p(+-refl * exp(z)) with z = 2q(x - q)/s^2, the exact value of
-    e_image - e_main; z <= 0 there, so nothing overflows.  Sums of (x - m)^2
-    are never expanded into sum x^2 - 2m sum x + k m^2: at the tiny scales
-    the simplex visits, that difference of large sums loses every digit.
-    """
-    s1 = p.sigma1 * math.sqrt(t)
-    s2 = p.sigma2 * math.sqrt(t)
-    a1, a2, refl, c1, c2 = _coeffs(p)
-    q = float(p.q)
-    k = int(np.searchsorted(x, q))  # x[:k] < q <= x[k:]
-    if q > 0:
-        single, s, log_a, c = slice(k, None), s1, math.log(a1), c1
-        mixed, s_mix, r = slice(None, k), s2, refl
-    else:
-        single, s, log_a, c = slice(None, k), s2, math.log(a2), c2
-        mixed, s_mix, r = slice(k, None), s1, -refl
-
-    d = np.subtract(x[single], c * q, out=work[single])
-    total = d.size * (log_a - math.log(s) - _LOG_SQRT_2PI) - 0.5 * float(
-        np.dot(d, d)
-    ) / (s * s)
-
-    z = work[mixed]
-    np.subtract(x[mixed], q, out=z)
-    np.multiply(z, 2.0 * q / (s_mix * s_mix), out=z)
-    np.exp(z, out=z)
-    np.multiply(z, r, out=z)
-    np.log1p(z, out=z)
-    total += (
-        float(z.sum())
-        - 0.5 * float(x2[mixed].sum()) / (s_mix * s_mix)
-        - z.size * (math.log(s_mix) + _LOG_SQRT_2PI)
-    )
-    return total
 
 
 def davies_p_value(lr: float, total_variation: float) -> float:
@@ -405,7 +361,7 @@ def _profile_terms(split: tuple, a: float, b: float, work: np.ndarray) -> tuple:
     _, _, mixed, q, k, su, suu, m, syy = split
     s_mixed, s_single = math.exp(a), math.exp(b)
     ia, ib = 1.0 / s_mixed, 1.0 / s_single
-    amp_mixed, amp_single, refl, _, _ = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
+    amp_mixed, amp_single, refl = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
     rho = -refl
     r = 0.5 * amp_mixed * amp_single  # (1 - rho^2) / 2
     pi_k = 0.5 * amp_mixed * k  # k exp(a) / (exp(a) + exp(b))
@@ -473,7 +429,7 @@ def _profile_scores(
     a, b = (ab[1], ab[0]) if flip else ab
     s_mixed, s_single = math.exp(a), math.exp(b)
     ia, ib = 1.0 / s_mixed, 1.0 / s_single
-    amp_mixed, amp_single, refl, _, _ = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
+    amp_mixed, amp_single, refl = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
     rho = -refl
     r = 0.5 * amp_mixed * amp_single
     pi = 0.5 * amp_mixed
@@ -596,11 +552,12 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     p_value_chi2 is the chi-squared(1) tail of the same LR (lr_test).
     Standard errors come from the outer product of the per-observation
     scores, the delta method mapping log-scale variances back to sigma; they
-    are flagged approximate when q_hat sits within 1e-6 of a data point,
-    where the likelihood has a kink.  The sample is sorted once (a
-    permutation gives an identical report), and n_evaluations counts every
-    pass of the kernel over it (_profile_split, _profile_terms and
-    _profile_scores calls).
+    are flagged approximate when q_hat lies within the refinement's
+    resolution (_REFINE_XATOL times the bracket width) of a kink of the
+    likelihood in q: the order statistics either side of q_hat, and 0.  The
+    sample is sorted once (a permutation gives an identical report), and
+    n_evaluations counts every pass of the kernel over it (_profile_split,
+    _profile_terms and _profile_scores calls).
     """
     cfg = config or FitConfig()
     if sample.size < 10:
@@ -643,6 +600,7 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     q_hat = float(grid[best])
     refinement_evaluations = 0
     bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, n_grid - 1)]))
+    resolution = _REFINE_XATOL * (bracket[1] - bracket[0])
     if bracket[1] > bracket[0]:
         tried = []
 
@@ -653,7 +611,7 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
 
         res = minimize_scalar(
             negative_profile, bounds=bracket, method="bounded",
-            options={"xatol": _REFINE_XATOL * (bracket[1] - bracket[0])},
+            options={"xatol": resolution},
         )
         refinement_evaluations = len(tried)
         f, q, ab, ok = max(tried, key=lambda item: item[0])
@@ -675,15 +633,18 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     se_status = "unavailable"
     try:
         variances = np.diag(np.linalg.inv(outer))
-        if np.all(np.linalg.eigvalsh(outer) > 0) and np.all(variances > 0):
+        # Definiteness is judged on the correlation matrix: the q entries of
+        # outer scale as 1/x^2, so its own eigenvalues depend on the units.
+        d = np.sqrt(np.diag(outer))
+        correlation = outer / np.outer(d, d)
+        if np.all(np.linalg.eigvalsh(correlation) > 0) and np.all(variances > 0):
             se_sigma1 = sigma1_hat * math.sqrt(variances[0])
             se_sigma2 = sigma2_hat * math.sqrt(variances[1])
             se_q = math.sqrt(variances[2])
-            se_status = "ok"
             k = int(np.searchsorted(x, q_hat))
-            gap = min(abs(x[i] - q_hat) for i in (k - 1, k) if 0 <= i < x.size)
-            if gap < 1e-6:
-                se_status = "approximate"
+            kinks = [0.0] + [float(x[i]) for i in (k - 1, k) if 0 <= i < x.size]
+            near_kink = min(abs(v - q_hat) for v in kinks) <= resolution
+            se_status = "approximate" if near_kink else "ok"
     except np.linalg.LinAlgError:
         pass
 

@@ -7,7 +7,6 @@ semantics.  All functions are pure; random state is an explicit value.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -16,7 +15,6 @@ from scipy import integrate, optimize, special
 
 __all__ = [
     "QuadratureSpec",
-    "RngAlgorithm",
     "RngState",
     "QuadratureError",
     "BracketError",
@@ -65,16 +63,11 @@ class QuadratureSpec:
             )
 
 
-class RngAlgorithm(enum.Enum):
-    PCG64 = "pcg64"
-
-
 @dataclass(frozen=True)
 class RngState:
-    """Explicit, value-semantics random state: same seed+algorithm, same stream."""
+    """Explicit, value-semantics random state on PCG64: same seed, same stream."""
 
     seed: int
-    algorithm: RngAlgorithm = RngAlgorithm.PCG64
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:

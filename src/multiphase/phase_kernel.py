@@ -9,12 +9,6 @@ w N(x; m, (sigma_k sqrt(t))^2), each restricted to its phase interval
 (_gaussian_pieces).  The pdf, cdf and moments here, and the normalizer and
 call prices in pricing, are sums over those pieces.  Two-phase draws come
 from an exact skew-Brownian sampler.
-
-The three-phase image series as published has no powers of the interface
-reflection coefficients and does not solve the interface system (the
-equal-sigma case is not the Gaussian, the branches jump at the boundaries,
-and it can go negative).  It is kept, under three_phase_pdf_as_published,
-only as the published formula.
 """
 
 from __future__ import annotations
@@ -22,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
@@ -44,7 +38,6 @@ __all__ = [
     "two_phase_sample",
     "three_phase_pdf",
     "three_phase_pdf_branch",
-    "three_phase_pdf_as_published",
     "density_grid",
     "write_density_csv",
 ]
@@ -58,7 +51,7 @@ class DomainError(ValueError):
 
 
 class SeriesConsistencyError(RuntimeError):
-    """A truncated series produced a negative density beyond its tolerance."""
+    """A sum of Gaussian pieces gave a density below zero beyond rounding."""
 
 
 @dataclass(frozen=True)
@@ -178,15 +171,13 @@ def _check_t(t: float) -> float:
 
 
 def _coeffs(p: TwoPhaseParams):
-    """Two-phase constants of the log-domain likelihood: amplitudes,
-    reflection weight, mean shifts."""
+    """Two-phase constants of the log-domain likelihood: amplitudes and
+    reflection weight."""
     s1, s2 = p.sigma1, p.sigma2
     a1 = 2.0 * s1 / (s1 + s2)
     a2 = 2.0 * s2 / (s1 + s2)
     refl = (s2 - s1) / (s1 + s2)
-    c1 = 1.0 - s1 / s2
-    c2 = 1.0 - s2 / s1
-    return a1, a2, refl, c1, c2
+    return a1, a2, refl
 
 
 def _gaussian_pieces(
@@ -443,17 +434,17 @@ def three_phase_pdf_branch(
     )
 
 
-def _checked(x, t: float, values, tol: float):
-    """Clamp density values within tol below zero to 0, raise on lower ones."""
+def _checked(x, t: float, values):
+    """Clamp density values within rounding (1e-10) below zero to 0, raise on
+    lower ones."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.atleast_1d(np.asarray(values, dtype=float))
     floor = out.min()
-    if floor < -tol:
+    if floor < -1e-10:
         raise SeriesConsistencyError(
-            f"series produced density {floor:.6g} < -{tol:.1g} "
-            f"at x={x_arr[out.argmin()]:.6g}, t={t}"
+            f"density {floor:.6g} < -1e-10 at x={x_arr[out.argmin()]:.6g}, t={t}"
         )
-    out = np.where((out < 0.0) & (out >= -tol), 0.0, out)
+    out = np.where((out < 0.0) & (out >= -1e-10), 0.0, out)
     return out.item() if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -463,113 +454,7 @@ def three_phase_pdf(p: ThreePhaseParams, x, t: float):
     Values within rounding (1e-10) of zero are clamped to 0; a negative value
     beyond that raises SeriesConsistencyError rather than being hidden.
     """
-    return _checked(x, t, _pdf(_pieces(p, t), x), 1e-10)
-
-
-def _published_branches(
-    p: ThreePhaseParams, x, t: float, series_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The image-series branches (u1, u2, u3) exactly as published."""
-    t = _check_t(t)
-    if not series_tol > 0:
-        raise DomainError(f"series_tol must be positive, got {series_tol}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    s1, s2, s3 = p.sigma1, p.sigma2, p.sigma3
-    q1, q2 = p.q1, p.q2
-    r1 = s1 * math.sqrt(t)
-    r2 = s2 * math.sqrt(t)
-    r3 = s3 * math.sqrt(t)
-
-    def gauss_sq(arg: np.ndarray, scale: float) -> np.ndarray:
-        return np.exp(-0.5 * (arg / scale) ** 2)
-
-    def sum_shells(term: Callable[[int], np.ndarray]) -> np.ndarray:
-        """Sum term(n) over n in Z by symmetric shells with a relative cutoff."""
-        total = term(0)
-        shell = 1
-        while True:
-            add = term(shell) + term(-shell)
-            total = total + add
-            if shell >= 3:
-                scale = np.maximum(np.max(np.abs(total)), 1e-300)
-                if np.max(np.abs(add)) < series_tol * scale:
-                    break
-            shell += 1
-            if shell > 200:
-                break
-        return total
-
-    # Upper branch: images reflected through q1, distances mapped by sigma1/sigma2.
-    def u1_term(n: int) -> np.ndarray:
-        c_a = abs((2 * n + 1) * q1 - 2 * n * q2)
-        c_b = abs((2 * n - 1) * q1 - 2 * n * q2)
-        return gauss_sq(x_arr - q1 + (s1 / s2) * c_a, r1) + gauss_sq(
-            x_arr - q1 + (s1 / s2) * c_b, r1
-        )
-
-    u1 = (s1 / s2) / (_SQRT_2PI * s1 * math.sqrt(t)) * sum_shells(u1_term)
-
-    # Middle branch: free slab images minus two boundary-exchange double sums.
-    def u21_term(n: int) -> np.ndarray:
-        return gauss_sq(x_arr + 2 * n * q1 - 2 * n * q2, r2) + gauss_sq(
-            x_arr + 2 * n * q1 - (2 * n + 2) * q2, r2
-        )
-
-    u21 = sum_shells(u21_term) / (_SQRT_2PI * s2 * math.sqrt(t))
-
-    def u22_term(n: int) -> np.ndarray:
-        base = np.abs(x_arr + 2 * n * q1 - (2 * n + 1) * q2)
-
-        def inner(m: int) -> np.ndarray:
-            c_a = abs(2 * m * q1 - (2 * m - 1) * q2)
-            c_b = abs(2 * m * q1 - (2 * m + 1) * q2)
-            return gauss_sq(base + c_a, r2) + gauss_sq(base + c_b, r2)
-
-        return sum_shells(inner)
-
-    u22 = (s3 / s2) / (_SQRT_2PI * s2 * math.sqrt(t)) * sum_shells(u22_term)
-
-    def u23_term(n: int) -> np.ndarray:
-        base = np.abs(x_arr + (2 * n - 1) * q1 - 2 * n * q2)
-
-        def inner(m: int) -> np.ndarray:
-            c_a = abs((2 * m + 1) * q1 - 2 * m * q2)
-            c_b = abs((2 * m - 1) * q1 - 2 * m * q2)
-            return gauss_sq(base + c_a, r2) + gauss_sq(base + c_b, r2)
-
-        return sum_shells(inner)
-
-    u23 = (s1 / s2) / (_SQRT_2PI * s2 * math.sqrt(t)) * sum_shells(u23_term)
-    u2 = u21 - u22 - u23
-
-    # Lower branch: mirror image of the upper one through q2.
-    def u3_term(n: int) -> np.ndarray:
-        c_a = abs(2 * n * q1 - (2 * n - 1) * q2)
-        c_b = abs(2 * n * q1 - (2 * n + 1) * q2)
-        return gauss_sq(x_arr - q2 - (s3 / s2) * c_a, r3) + gauss_sq(
-            x_arr - q2 - (s3 / s2) * c_b, r3
-        )
-
-    u3 = (s3 / s2) / (_SQRT_2PI * s3 * math.sqrt(t)) * sum_shells(u3_term)
-    return u1, u2, u3
-
-
-def three_phase_pdf_as_published(
-    p: ThreePhaseParams, x, t: float, series_tol: float = 1e-10
-):
-    """The three-phase image series as published, selected by phase.
-
-    Kept as the paper's formula, not as a density: it has no powers of the
-    interface reflection coefficients, so it does not solve the interface
-    system (equal sigmas do not give the Gaussian, the branches jump at the
-    boundaries) and it can go macroscopically negative.  The same guard as
-    three_phase_pdf applies: a value below -series_tol raises
-    SeriesConsistencyError instead of being clamped.
-    """
-    u1, u2, u3 = _published_branches(p, x, t, series_tol)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    values = np.where(x_arr >= p.q1, u1, np.where(x_arr >= p.q2, u2, u3))
-    return _checked(x, t, values, series_tol)
+    return _checked(x, t, _pdf(_pieces(p, t), x))
 
 
 @dataclass(frozen=True)
@@ -608,7 +493,7 @@ def density_grid(
     closed_form = not isinstance(model, PhaseSystem) or model.n_phases <= 3
     phases = _pieces(model, t) if closed_form or include_normal else None
     if closed_form:
-        dens = _checked(x_arr, t, _pdf(phases, x_arr), 1e-10)
+        dens = _checked(x_arr, t, _pdf(phases, x_arr))
         source = "closed-form"
     else:
         from . import pde_oracle  # local import: pde_oracle depends on this module

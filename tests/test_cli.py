@@ -5,10 +5,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multiphase
 from helpers import three_phase_quadrature_cdf, three_phase_quadrature_moments
 from multiphase.cli import run
 from multiphase.phase_kernel import ThreePhaseParams, TwoPhaseParams, two_phase_pdf
@@ -346,6 +350,22 @@ class TestExitDiscipline:
         status, out, _ = invoke(["--help"])
         assert status == 0
         assert "pdf" in out and "surface" in out
+
+    def test_repeated_runs_match_fresh_processes(self):
+        # The parser is built once per process; no parse state may carry
+        # from one run to the next (here a failed parse that set --daycount).
+        surface = ["surface", "--sigma1", "0.3", "--sigma2", "0.4", "--q", "-0.02",
+                   "--s", "100", "--r", "0.05", "--strikes", "90:110:10",
+                   "--taus", "30,60"]
+        failing = surface[:1] + ["--daycount", "252", "--bogus", "1"]
+        env = dict(os.environ, PYTHONPATH=str(Path(multiphase.__file__).parents[1]))
+        script = "import sys; from multiphase.cli import main; sys.exit(main())"
+        for argv in (failing, surface):
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert invoke(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestJsonRoundTrip:

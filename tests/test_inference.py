@@ -114,9 +114,25 @@ class TestLogLikelihood:
             assert value == pytest.approx(expected, abs=1e-10)
 
 
-def sorted_loglik(p, x, t):
-    """The fit's kernel on x, with fresh x2 and scratch buffers."""
-    return inference._sorted_loglik(p, x, x * x, t, np.empty_like(x))
+def loglik_sum(p, x, t):
+    """Sum of the per-observation terms at p."""
+    return float(inference._loglik_terms(p, x, t).sum())
+
+
+def kernel_in_sigma_coordinates(p, x, t, work=None):
+    """The profile kernel's log-likelihood at p on an ascending x, with its
+    gradient and Hessian in (log sigma1, log sigma2), whichever frame it
+    works in."""
+    work = np.empty((4, x.size)) if work is None else work
+    split = inference._profile_split(x, p.q, work)
+    flip = split[0]
+    a, b = math.log(p.sigma1 * math.sqrt(t)), math.log(p.sigma2 * math.sqrt(t))
+    if flip:
+        a, b = b, a
+    f, ga, gb, haa, hab, hbb = inference._profile_terms(split, a, b, work)
+    if flip:
+        ga, gb, haa, hbb = gb, ga, hbb, haa
+    return f, np.array([ga, gb]), np.array([[haa, hab], [hab, hbb]])
 
 
 def summand_scale(p, x, t):
@@ -149,29 +165,34 @@ def sorted_kernel_cases(draw):
 
 
 class TestSortedLoglik:
+    """The profile kernel, the log-likelihood of a sorted sample, against the
+    per-observation terms."""
+
     @settings(max_examples=300, deadline=None)
     @given(case=sorted_kernel_cases())
     def test_matches_per_observation_terms(self, case):
         # Both signs of q, q at a data point and one ulp either side of it, q
         # outside all data, sigma ratios up to 1e4 and sigma down to 1e-11.
         p, x, t = case
-        expected = float(inference._loglik_terms(p, x, t).sum())
-        value = sorted_loglik(p, x, t)
+        expected = loglik_sum(p, x, t)
+        value = kernel_in_sigma_coordinates(p, x, t)[0]
         assert math.isfinite(expected) and math.isfinite(value)
         assert abs(value - expected) <= 1e-12 * summand_scale(p, x, t)
 
     def test_tiny_sigma_point_of_a_gaussian_fit(self):
         # Gaussian n = 500 sample (PCG64 seed [1, 1], scale 0.01) at the point
-        # sigma2 = 7.3e-11 that the simplex reaches on it.  Expanding
+        # sigma2 = 7.3e-11 that a simplex fit once reached on it.  Expanding
         # sum (x - m)^2 as sum x^2 - 2 m sum x + k m^2 there reports 1629.50
-        # against the true 1615.74; the fit must report the true value.
+        # against the true 1615.74; the fit must report the true value.  The
+        # pinned value is the sum of the log densities in 50-digit mpmath
+        # arithmetic (mpmath.npdf on each side of q, from the float64 x).
         x = np.sort(np.random.Generator(np.random.PCG64([1, 1])).normal(0.0, 0.01, 500))
         p = TwoPhaseParams(
             0.009678594843092001, 7.296131776713791e-11, -0.02481027536224259
         )
-        expected = float(inference._loglik_terms(p, x, 1.0).sum())
-        assert expected == pytest.approx(1615.7373454210267, rel=1e-12)
-        error = abs(sorted_loglik(p, x, 1.0) - expected)
+        expected = loglik_sum(p, x, 1.0)
+        assert expected == pytest.approx(1615.7373455010699, rel=1e-12)
+        error = abs(kernel_in_sigma_coordinates(p, x, 1.0)[0] - expected)
         assert error <= 1e-12 * summand_scale(p, x, 1.0)
         report = fit_two_phase(ReturnSample(x))
         fitted = TwoPhaseParams(report.sigma1_hat, report.sigma2_hat, report.q_hat)
@@ -184,32 +205,17 @@ class TestSortedLoglik:
             TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 5 * 10**4, RngState(seed=3)
         )
         x = np.sort(draws)
-        x2, work = x * x, np.empty_like(x)
+        work = np.empty((4, x.size))
         for q in (-0.02, 0.01):
             p = TwoPhaseParams(0.011, 0.03, q)
-            inference._sorted_loglik(p, x, x2, 1.0, work)
+            kernel_in_sigma_coordinates(p, x, 1.0, work)
             tracemalloc.start()
             try:
-                inference._sorted_loglik(p, x, x2, 1.0, work)
+                kernel_in_sigma_coordinates(p, x, 1.0, work)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 64 * 1024
-
-
-def kernel_in_sigma_coordinates(p, x, t):
-    """The profile kernel's log-likelihood at p, with its gradient and Hessian
-    in (log sigma1, log sigma2), whichever frame it works in."""
-    work = np.empty((4, x.size))
-    split = inference._profile_split(x, p.q, work)
-    flip = split[0]
-    a, b = math.log(p.sigma1 * math.sqrt(t)), math.log(p.sigma2 * math.sqrt(t))
-    if flip:
-        a, b = b, a
-    f, ga, gb, haa, hab, hbb = inference._profile_terms(split, a, b, work)
-    if flip:
-        ga, gb, haa, hbb = gb, ga, hbb, haa
-    return f, np.array([ga, gb]), np.array([[haa, hab], [hab, hbb]])
 
 
 @st.composite
@@ -237,7 +243,7 @@ class TestProfileKernel:
     @given(case=profile_kernel_cases())
     def test_score_and_hessian_match_central_differences(self, case):
         # Both signs of q, q at a data point or one ulp either side of it,
-        # sigma ratios up to 1e3 either way; differences of _sorted_loglik in
+        # sigma ratios up to 1e3 either way; differences of _loglik_terms in
         # (log sigma1, log sigma2) at fixed q, where it is smooth.
         p, x, t = case
         value, grad, hess = kernel_in_sigma_coordinates(p, x, t)
@@ -245,7 +251,7 @@ class TestProfileKernel:
 
         def loglik(th):
             params = TwoPhaseParams(math.exp(th[0]), math.exp(th[1]), p.q)
-            return sorted_loglik(params, x, t)
+            return loglik_sum(params, x, t)
 
         h = 1e-4
         steps = np.eye(2) * h
@@ -282,7 +288,7 @@ class TestProfileKernel:
         mirrored = TwoPhaseParams(p.sigma2, p.sigma1, -p.q)
         y = -x[::-1]
         scale = summand_scale(p, x, t) + x.size
-        assert abs(sorted_loglik(p, x, t) - sorted_loglik(mirrored, y, t)) <= (
+        assert abs(loglik_sum(p, x, t) - loglik_sum(mirrored, y, t)) <= (
             1e-12 * scale
         )
         value, grad, hess = kernel_in_sigma_coordinates(p, x, t)
@@ -429,12 +435,47 @@ class TestFitTwoPhase:
 
             return counted
 
-        for name in ("_sorted_loglik", "_profile_split", "_profile_terms",
-                     "_profile_scores"):
+        for name in ("_profile_split", "_profile_terms", "_profile_scores"):
             monkeypatch.setattr(inference, name, counting(getattr(inference, name)))
         x = RngState(seed=40000).generator().normal(0.0, 0.01, size=500)
         report = fit_two_phase(ReturnSample(x))
         assert report.n_evaluations == calls
+
+    @pytest.mark.parametrize("seed, kink", [(1, None), (2, "zero"), (15, "data")])
+    def test_se_status_flags_kinks(self, seed, kink):
+        # Boundary at 0: seed 1's q_hat lies away from every kink, seed 2's
+        # within the refinement's resolution of 0, seed 15's within it of a
+        # data point.
+        draws, _ = two_phase_sample(
+            TwoPhaseParams(0.01, 0.035, 0.0), 1.0, 500, RngState(seed=seed)
+        )
+        report = fit_two_phase(ReturnSample(draws))
+        grid = report.diagnostics.profile_q
+        best = int(np.argmax(report.diagnostics.profile_loglik))
+        resolution = 1e-4 * (grid[min(best + 1, 48)] - grid[max(best - 1, 0)])
+        assert (np.min(np.abs(draws - report.q_hat)) <= resolution) == (kink == "data")
+        assert (abs(report.q_hat) <= resolution) == (kink == "zero")
+        assert report.se_status == ("ok" if kink is None else "approximate")
+
+    def test_se_status_is_scale_free(self):
+        samples = [
+            RngState(seed=seed).generator().normal(0.0, 0.01, size=500)
+            for seed in (40000, 40004, 40012, 40013, 40028)
+        ]
+        samples.append(
+            two_phase_sample(
+                TwoPhaseParams(0.01, 0.035, 0.0), 1.0, 500, RngState(seed=2)
+            )[0]
+        )
+        seen = set()
+        for x in samples:
+            statuses = {
+                fit_two_phase(ReturnSample(x * 10.0**k)).se_status
+                for k in range(-8, 3)
+            }
+            assert len(statuses) == 1
+            seen |= statuses
+        assert seen == {"ok", "approximate"}
 
     def test_loglik_alt_dominates_profile_and_null(self):
         samples = [

@@ -12,7 +12,6 @@ from multiphase.numerics import (
     HessianError,
     QuadratureError,
     QuadratureSpec,
-    RngAlgorithm,
     RngState,
     erfc,
     find_root_bracketed,
@@ -238,10 +237,6 @@ class TestRngState:
         first = advanced.generator().random(5)
         second = advanced.generator().random(5)
         assert np.array_equal(first, second)
-
-    def test_algorithm_identifier(self):
-        assert RngState(seed=0).algorithm is RngAlgorithm.PCG64
-        assert RngAlgorithm.PCG64.value == "pcg64"
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,6 @@ from multiphase.phase_kernel import (
     TwoPhaseParams,
     density_grid,
     three_phase_pdf,
-    three_phase_pdf_as_published,
     three_phase_pdf_branch,
     two_phase_cdf,
     two_phase_moments,
@@ -57,11 +56,15 @@ def quadrature_moments(p, t):
     integrated in units of s = max(sigma)*sqrt(t), so every integral is O(1)
     and the quadrature's tolerances are relative to the law's own scale;
     tails are cut 12 units beyond the source/boundary span, breaks sit at q
-    and 0.
+    and 0.  Breaks closer than 1e-12 units are merged: QUADPACK rejects an
+    interval that narrow (q = 2e-305 gave one).
     """
     s = max(p.sigma1, p.sigma2) * math.sqrt(t)
     u_q = p.q / s
-    breaks = sorted({min(u_q, 0.0) - 12.0, u_q, 0.0, max(u_q, 0.0) + 12.0})
+    breaks = []
+    for u in sorted({min(u_q, 0.0) - 12.0, u_q, 0.0, max(u_q, 0.0) + 12.0}):
+        if not breaks or u - breaks[-1] > 1e-12:
+            breaks.append(u)
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
 
     def integral(g):
@@ -360,15 +363,30 @@ class TestThreePhase:
             total += value
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_macroscopic_negative_raises(self):
-        # Series values far below zero must surface, not be clamped away.  The
-        # series as published goes negative here; the exact density is the
-        # Gaussian at these equal sigmas (test_equal_sigma_reduces_to_gaussian).
-        p = ThreePhaseParams(0.3, 0.3, 0.3, 0.4, -0.3)
-        xs = np.linspace(-2.0, 2.0, 81)
-        with pytest.raises(SeriesConsistencyError):
-            for x in xs:
-                three_phase_pdf_as_published(p, x, 2.0)
+    def test_macroscopic_negative_raises(self, monkeypatch):
+        # A density below -1e-10 must surface, not be clamped away; values
+        # within that rounding slack of zero are clamped to 0.
+        import multiphase.phase_kernel as phase_kernel
+
+        xs = np.linspace(-1.0, 1.0, 5)
+        for low in (-1e-6, -1e-11):
+            monkeypatch.setattr(
+                phase_kernel, "_pdf",
+                lambda phases, x: np.where(np.asarray(x) > 0.5, low, 0.3),
+            )
+            if low < -1e-10:
+                for call in (
+                    lambda: three_phase_pdf(THREE_CANONICAL, xs, 1.0),
+                    lambda: three_phase_pdf(THREE_CANONICAL, 0.75, 1.0),
+                    lambda: density_grid(THREE_CANONICAL, 1.0, xs),
+                ):
+                    with pytest.raises(SeriesConsistencyError):
+                        call()
+            else:
+                expected = [0.3, 0.3, 0.3, 0.3, 0.0]
+                assert list(three_phase_pdf(THREE_CANONICAL, xs, 1.0)) == expected
+                assert three_phase_pdf(THREE_CANONICAL, 0.75, 1.0) == 0.0
+                assert list(density_grid(THREE_CANONICAL, 1.0, xs).density) == expected
 
 
 class TestDensityGrid:
