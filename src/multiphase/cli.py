@@ -41,7 +41,7 @@ from .phase_kernel import (
 from .pde_oracle import (
     SolverFailure,
     SolverGrid,
-    chapman_kolmogorov_check,
+    _chapman_kolmogorov,
     report_to_json,
     solution_report,
     solve_for_system,
@@ -327,10 +327,12 @@ def _cmd_check_ck(args, stdout, stderr) -> int:
         x_min=min(args.q, 0.0) - span, x_max=max(args.q, 0.0) + span,
         nx=201, dt=1e-3, t_warm=min(0.05, args.s_mid / 2),
     )
-    error = chapman_kolmogorov_check(params, args.s_mid, args.t, grid)
+    error, err_est, calls = _chapman_kolmogorov(params, args.s_mid, args.t, grid)
     payload = {
         "config": _config_echo(args),
         "max_abs_error": error,
+        "quadrature_error_estimate": err_est,
+        "integrand_calls": calls,
         "tolerance": args.tolerance,
         "pass": bool(error <= args.tolerance),
     }

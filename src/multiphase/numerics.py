@@ -22,15 +22,17 @@ __all__ = [
     "std_normal_cdf",
     "erfc",
     "integrate_adaptive",
+    "integrate_vector",
     "find_root_bracketed",
     "numerical_hessian",
 ]
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the best estimate."""
+    """Adaptive quadrature failed to converge; carries the best estimate
+    (an array for a vector integrand) and its error estimate."""
 
-    def __init__(self, message: str, best_estimate: float, err_est: float):
+    def __init__(self, message: str, best_estimate, err_est: float):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.err_est = err_est
@@ -118,6 +120,36 @@ def integrate_adaptive(
         raise QuadratureError(str(out[3]), best_estimate=value, err_est=err_est)
     value, err_est = out[0], out[1]
     return value, err_est
+
+
+def integrate_vector(
+    f: Callable[[float], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec = QuadratureSpec(),
+    points: Sequence[float] = (),
+) -> tuple[np.ndarray, float, int]:
+    """Adaptive quadrature of a vector-valued f over [a, b], split at points.
+
+    Every component shares one Gauss-Kronrod subdivision, refined until the
+    max-norm error estimate meets spec.  Returns (values, error_estimate,
+    integrand_calls).  Raises QuadratureError (carrying the best estimate) on
+    non-convergence.
+    """
+    values, err_est, info = integrate.quad_vec(
+        f,
+        a,
+        b,
+        epsabs=spec.abs_tol,
+        epsrel=spec.rel_tol,
+        norm="max",
+        limit=spec.max_subdivisions,
+        points=points,
+        full_output=True,
+    )
+    if not info.success:
+        raise QuadratureError(info.message, best_estimate=values, err_est=err_est)
+    return values, err_est, info.neval
 
 
 def find_root_bracketed(

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .numerics import QuadratureSpec, erfc, integrate_adaptive
+# integrate_adaptive and two_phase_pdf stay module attributes because
+# benchmark/tracing.py wraps them at these names.
+from .numerics import QuadratureSpec, erfc, integrate_adaptive, integrate_vector
 from .phase_kernel import (
     DomainError,
     PhaseSystem,
@@ -60,14 +62,16 @@ class SolverGrid:
     t_warm: float = 0.05
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise DomainError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise DomainError(
+                f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]"
+            )
         if self.nx < 201:
             raise DomainError(f"nx must be >= 201, got {self.nx}")
-        if not self.dt > 0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        if not self.t_warm > 0:
-            raise DomainError(f"t_warm must be > 0, got {self.t_warm}")
+        if not 0 < self.dt < math.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 < self.t_warm < math.inf:
+            raise DomainError(f"t_warm must be positive and finite, got {self.t_warm}")
 
 
 @dataclass(frozen=True)
@@ -84,30 +88,30 @@ class GridSolution:
     dt_effective: float
 
 
-def _steppers(h: np.ndarray, conductance: np.ndarray, dt: float):
-    """A Crank-Nicolson step of length dt and an implicit-Euler step of dt/2.
+def _implicit_solver(h: np.ndarray, conductance: np.ndarray, dt: float):
+    """v = A^-1 (h u) for A = H + (dt/2) L, factored once for this dt.
 
-    Both solve (h + dt/2 L) u' = rhs, L the conductance Laplacian, so they
-    share one tridiagonal LU factorization (LAPACK dgttrf, solved by dgttrs):
-    rhs is (h - dt/2 L) u for the first, h u for the second.
+    H is the diagonal of cell widths and L the conductance Laplacian with
+    closed ends, so A is symmetric positive definite and tridiagonal: LAPACK
+    dpttrf factors it as L D L^T without pivoting, and dpttrs solves.  The
+    returned v is the implicit-Euler step of dt/2, and 2 v - u is the
+    Crank-Nicolson step of dt, since its right-hand side (H - (dt/2) L) u is
+    (2 H - A) u.  Raises SolverFailure if the factorization breaks down.
     """
     coupling = 0.5 * dt * conductance
     main = h.copy()
     main[:-1] += coupling
     main[1:] += coupling
-    dl, d, du, du2, ipiv, _ = dgttrf(-coupling, main, -coupling)
+    d, e, info = dpttrf(main, -coupling)
+    if info != 0:
+        raise SolverFailure(
+            f"dpttrf could not factor H + (dt/2) L at dt={dt:.3g} (info {info})"
+        )
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)[0]
+    def solve(u: np.ndarray) -> np.ndarray:
+        return dpttrs(d, e, h * u, overwrite_b=True)[0]
 
-    def step(u: np.ndarray) -> np.ndarray:
-        flux = coupling * (u[1:] - u[:-1])
-        rhs = h * u
-        rhs[:-1] += flux
-        rhs[1:] -= flux
-        return solve(rhs)
-
-    return step, lambda u: solve(h * u)
+    return solve
 
 
 def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSolution:
@@ -158,13 +162,18 @@ def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSoluti
     u[j + 1] = -x[j] / (x[j + 1] - x[j]) / h[j + 1]
 
     n_warm = math.ceil(grid.t_warm / grid.dt)
-    warm_step, half_step = _steppers(h, conductance, grid.t_warm / n_warm)
+    warm = _implicit_solver(h, conductance, grid.t_warm / n_warm)
     n_steps = max(1, round((t_end - grid.t_warm) / grid.dt))
     dt_eff = (t_end - grid.t_warm) / n_steps
-    step, _ = _steppers(h, conductance, dt_eff)
+    main = _implicit_solver(h, conductance, dt_eff)
+    # (solver, Crank-Nicolson?): two implicit-Euler half-steps, then CN.
+    schedule = (
+        [(warm, False)] * 2 + [(warm, True)] * (n_warm - 1) + [(main, True)] * n_steps
+    )
     max_dev = 0.0
-    for advance in [half_step] * 2 + [warm_step] * (n_warm - 1) + [step] * n_steps:
-        u = advance(u)
+    for solve, crank_nicolson in schedule:
+        v = solve(u)
+        u = 2.0 * v - u if crank_nicolson else v
         max_dev = max(max_dev, abs(float(h @ u) - 1.0))
 
     mass = float(h @ u)
@@ -213,38 +222,52 @@ def chapman_kolmogorov_check(
 ) -> float:
     """Max abs deviation of the time-s/time-(t-s) convolution from the time-t law.
 
-    The inner kernel's boundary set shifts with the convolution variable: the
-    density restarted from y sees its boundary at q - y, so the inner factor is
-    re-parameterized per y; the outer time-s law is fixed, so its Gaussian
-    pieces are built once.  Checked on 61 x points spanning the grid window
-    (with x = 0 and x = q inserted); each x uses adaptive quadrature in y split
-    at the kink y = q and at the inner kernel's peak y = x.
+    The convolution is int p_s(y) p_(t-s)(y -> x) dy, checked at 61 x points
+    spanning the grid window with x = 0 and x = q inserted.  Restarted from
+    y, the law sees its boundary at q - y, so the inner factor is the
+    two-phase law with boundary q - y evaluated at x - y; the outer time-s
+    law is fixed, so its Gaussian pieces are built once.  The integrand is
+    the vector over all x, integrated by one adaptive quadrature in y within
+    13 outer scales of [min(q, 0), max(q, 0)], with a break at y = q only.
+    That is where the source crosses the boundary, the one kink in y of both
+    factors.  The inner factor's own kink, where x - y meets q - y, sits at
+    x = q for every y, since the two differ by the constant x - q; so the
+    integrand is smooth across y = x and needs no break there.
     """
-    if not 0 < s < t:
-        raise DomainError(f"need 0 < s < t, got s={s}, t={t}")
-    smax = max(p.sigma1, p.sigma2)
-    y_lo = min(p.q, 0.0) - 13.0 * smax * math.sqrt(s)
-    y_hi = max(p.q, 0.0) + 13.0 * smax * math.sqrt(s)
+    return _chapman_kolmogorov(p, s, t, grid)[0]
+
+
+def _chapman_kolmogorov(
+    p: TwoPhaseParams, s: float, t: float, grid: SolverGrid
+) -> tuple[float, float, int]:
+    """chapman_kolmogorov_check with the quadrature's error estimate and
+    number of integrand calls: (max_abs_error, error_estimate, calls)."""
     xs = np.unique(
         np.concatenate([np.linspace(grid.x_min, grid.x_max, 61), [0.0, p.q]])
     )
+    values, err_est, calls = _semigroup(p, s, t, xs)
+    worst = float(np.max(np.abs(values - two_phase_pdf(p, xs, t))))
+    return worst, err_est, calls
+
+
+def _semigroup(
+    p: TwoPhaseParams, s: float, t: float, xs: np.ndarray
+) -> tuple[np.ndarray, float, int]:
+    """The convolution (p_s o p_(t-s))(x) at every x of xs, by the quadrature
+    of chapman_kolmogorov_check: (values, error_estimate, calls)."""
+    if not 0 < s < t < math.inf:
+        raise DomainError(f"need 0 < s < t < inf, got s={s}, t={t}")
+    smax = max(p.sigma1, p.sigma2)
+    y_lo = min(p.q, 0.0) - 13.0 * smax * math.sqrt(s)
+    y_hi = max(p.q, 0.0) + 13.0 * smax * math.sqrt(s)
     spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=200)
     outer = _pieces(p, s)
-    worst = 0.0
-    for xv in xs:
-        def integrand(y: float) -> float:
-            inner = TwoPhaseParams(p.sigma1, p.sigma2, p.q - y)
-            return _pdf(outer, y) * float(two_phase_pdf(inner, xv - y, t - s))
 
-        breaks = [y_lo] + sorted(
-            b for b in {p.q, xv} if y_lo < b < y_hi
-        ) + [y_hi]
-        total = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            value, _ = integrate_adaptive(integrand, a, b, spec)
-            total += value
-        worst = max(worst, abs(total - float(two_phase_pdf(p, xv, t))))
-    return worst
+    def integrand(y: float) -> np.ndarray:
+        inner = TwoPhaseParams(p.sigma1, p.sigma2, p.q - y)
+        return _pdf(outer, y) * two_phase_pdf(inner, xs - y, t - s)
+
+    return integrate_vector(integrand, y_lo, y_hi, spec, points=(p.q,))
 
 
 def verify_identity_A10(q: float, a2: float, t: float) -> tuple[float, float]:

@@ -63,9 +63,10 @@ class TwoPhaseParams:
     q: float
 
     def __post_init__(self):
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
+        if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
             raise DomainError(
-                f"sigmas must be positive, got ({self.sigma1}, {self.sigma2})"
+                "sigmas must be positive and finite, got "
+                f"({self.sigma1}, {self.sigma2})"
             )
         if not math.isfinite(self.q):
             raise DomainError(f"q must be finite, got {self.q}")
@@ -82,9 +83,9 @@ class ThreePhaseParams:
     q2: float
 
     def __post_init__(self):
-        if not (self.sigma1 > 0 and self.sigma2 > 0 and self.sigma3 > 0):
+        if not all(0 < s < math.inf for s in (self.sigma1, self.sigma2, self.sigma3)):
             raise DomainError(
-                "sigmas must be positive, got "
+                "sigmas must be positive and finite, got "
                 f"({self.sigma1}, {self.sigma2}, {self.sigma3})"
             )
         if not (self.q1 > 0 > self.q2):
@@ -110,8 +111,8 @@ class PhaseSystem:
         object.__setattr__(self, "boundaries", boundaries)
         if len(sigmas) < 1:
             raise DomainError("need at least one phase")
-        if any(not s > 0 for s in sigmas):
-            raise DomainError(f"sigmas must be positive, got {sigmas}")
+        if not all(0 < s < math.inf for s in sigmas):
+            raise DomainError(f"sigmas must be positive and finite, got {sigmas}")
         if len(boundaries) != len(sigmas) - 1:
             raise DomainError(
                 f"{len(sigmas)} phases need {len(sigmas) - 1} boundaries, "
@@ -165,8 +166,8 @@ class MomentSummary:
 
 
 def _check_t(t: float) -> float:
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     return float(t)
 
 

@@ -8,6 +8,8 @@ from multiphase.numerics import QuadratureSpec, integrate_adaptive
 from multiphase.phase_kernel import (
     ThreePhaseParams,
     TwoPhaseParams,
+    _pdf,
+    _pieces,
     three_phase_pdf,
     two_phase_pdf,
 )
@@ -184,6 +186,30 @@ def three_phase_flux_mismatch(p: ThreePhaseParams, t: float) -> float:
     at_q1 = (flux(p.q1, p.sigma1, +1), flux(p.q1, p.sigma2, -1), g1)
     at_q2 = (flux(p.q2, p.sigma2, +1), flux(p.q2, p.sigma3, -1), g2)
     return max(max(v) - min(v) for v in (at_q1, at_q2))
+
+
+def semigroup_scalar(p: TwoPhaseParams, s: float, t: float, x: float) -> float:
+    """(p_s o p_(t-s))(x) by one scalar adaptive quadrature per x.
+
+    The integrand p_s(y) p_(t-s)(y -> x) restarts the law at y with its
+    boundary at q - y; y runs over 13 outer scales past [min(q, 0),
+    max(q, 0)], split at the kink y = q and at the inner kernel's peak y = x.
+    """
+    smax = max(p.sigma1, p.sigma2)
+    y_lo = min(p.q, 0.0) - 13.0 * smax * math.sqrt(s)
+    y_hi = max(p.q, 0.0) + 13.0 * smax * math.sqrt(s)
+    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=200)
+    outer = _pieces(p, s)
+
+    def integrand(y: float) -> float:
+        inner = TwoPhaseParams(p.sigma1, p.sigma2, p.q - y)
+        return _pdf(outer, y) * float(two_phase_pdf(inner, x - y, t - s))
+
+    breaks = [y_lo] + sorted(b for b in {p.q, x} if y_lo < b < y_hi) + [y_hi]
+    return sum(
+        integrate_adaptive(integrand, a, b, spec)[0]
+        for a, b in zip(breaks[:-1], breaks[1:])
+    )
 
 
 def gaussian_reduction_sup_error(sigma: float, q: float, t: float) -> float:

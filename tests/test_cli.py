@@ -297,6 +297,31 @@ class TestCheckCommands:
         assert payload["pass"] is True
         assert payload["max_abs_error"] <= 1e-4
 
+    def test_check_ck_reports_quadrature(self):
+        status, out, _ = invoke(
+            ["check-ck", "--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1",
+             "--s-mid", "0.4", "--t", "1"]
+        )
+        assert status == 0
+        payload = json.loads(out)
+        assert 0.0 <= payload["quadrature_error_estimate"] <= 1e-8
+        assert isinstance(payload["integrand_calls"], int)
+        assert payload["integrand_calls"] > 0
+
+    def test_non_finite_inputs_rejected(self):
+        for argv in (
+            ["pdf", "--model", "two-phase", "--sigma1", "inf", "--sigma2", "0.3",
+             "--q", "-0.1", "--t", "1", "--x-grid", "-1:1:5"],
+            ["check-ck", "--sigma1", "inf", "--sigma2", "0.3", "--q", "-0.1",
+             "--s-mid", "0.4", "--t", "1"],
+            ["check-pde", "--model", "two-phase", "--sigma1", "0.2", "--sigma2",
+             "0.3", "--q", "-0.1", "--nx", "201", "--dt", "inf"],
+        ):
+            status, out, err = invoke(argv)
+            assert status != 0
+            assert out == ""
+            assert "DomainError" in err
+
     def test_check_identities(self):
         status, out, _ = invoke(
             ["check-identities", "--trials", "3", "--seed", "5"]

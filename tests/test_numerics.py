@@ -16,6 +16,7 @@ from multiphase.numerics import (
     erfc,
     find_root_bracketed,
     integrate_adaptive,
+    integrate_vector,
     numerical_hessian,
     std_normal_cdf,
 )
@@ -124,6 +125,44 @@ class TestIntegrateAdaptive:
             QuadratureSpec(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+class TestIntegrateVector:
+    def test_known_integrals(self):
+        values, err, calls = integrate_vector(
+            lambda x: np.array([x * x, math.exp(x), math.cos(x)]),
+            0.0,
+            1.0,
+            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+        )
+        expected = [1.0 / 3.0, math.e - 1.0, math.sin(1.0)]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+        assert 0.0 <= err <= 1e-10
+        assert calls > 0
+
+    def test_break_point_at_a_kink(self):
+        # |x - 0.3| has its kink on the break, so every panel is smooth.
+        values, _, _ = integrate_vector(
+            lambda x: np.array([abs(x - 0.3), math.exp(-0.5 * x * x)]),
+            -1.0,
+            1.0,
+            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+            points=(0.3,),
+        )
+        gaussian = math.sqrt(2.0 * math.pi) * (1.0 - erfc(math.sqrt(0.5)))
+        np.testing.assert_allclose(
+            values, [(1.3**2 + 0.7**2) / 2.0, gaussian], rtol=0.0, atol=1e-12
+        )
+
+    def test_failure_carries_best_estimate(self):
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_vector(
+                lambda x: np.array([math.sin(1.0 / (x + 1e-3)), x]), 0.0, 1.0, spec
+            )
+        assert excinfo.value.best_estimate.shape == (2,)
+        assert np.all(np.isfinite(excinfo.value.best_estimate))
+        assert excinfo.value.err_est > 0.0
 
 
 class TestFindRootBracketed:

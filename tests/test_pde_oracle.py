@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import semigroup_scalar
 from multiphase.pde_oracle import (
     SolverFailure,
     SolverGrid,
@@ -62,6 +63,71 @@ class TestSolverGrid:
         grid = SolverGrid(x_min=-4.0, x_max=4.0, nx=301, dt=1e-3, t_warm=0.05)
         with pytest.raises(DomainError):
             solve_system(PhaseSystem.from_two_phase(CANONICAL), grid, 0.01)
+
+
+def test_non_finite_grid_rejected():
+    with pytest.raises(DomainError):
+        SolverGrid(x_min=-math.inf, x_max=4.0)
+    with pytest.raises(DomainError):
+        SolverGrid(x_min=-4.0, x_max=math.nan)
+    with pytest.raises(DomainError):
+        SolverGrid(x_min=-4.0, x_max=4.0, dt=math.inf)
+    with pytest.raises(DomainError):
+        SolverGrid(x_min=-4.0, x_max=4.0, t_warm=math.inf)
+
+
+def dense_scheme(sys_: PhaseSystem, grid: SolverGrid, t_end: float):
+    """The finite-volume scheme of solve_system's docstring, stepped with dense
+    H +- (dt/2) L and numpy.linalg.solve: (x, u) at t_end."""
+    edges = (grid.x_min, *reversed(sys_.boundaries), grid.x_max)
+    target = (grid.x_max - grid.x_min) / grid.nx
+    faces, diffusivity = [grid.x_min], []
+    for a, b, sigma in zip(edges, edges[1:], reversed(sys_.sigmas)):
+        n = max(1, round((b - a) / target))
+        faces.extend(np.linspace(a, b, n + 1)[1:])
+        diffusivity.extend([0.5 * sigma**2] * n)
+    faces, diffusivity = np.array(faces), np.array(diffusivity)
+    h = np.diff(faces)
+    x = 0.5 * (faces[:-1] + faces[1:])
+    c = 1.0 / (h[:-1] / (2.0 * diffusivity[:-1]) + h[1:] / (2.0 * diffusivity[1:]))
+    lap = np.diag(np.r_[c, 0.0] + np.r_[0.0, c]) - np.diag(c, 1) - np.diag(c, -1)
+    big_h = np.diag(h)
+
+    j = int(np.searchsorted(x, 0.0, side="right")) - 1
+    u = np.zeros(x.size)
+    u[j] = x[j + 1] / (x[j + 1] - x[j]) / h[j]
+    u[j + 1] = -x[j] / (x[j + 1] - x[j]) / h[j + 1]
+
+    n_warm = math.ceil(grid.t_warm / grid.dt)
+    dt_warm = grid.t_warm / n_warm
+    n_steps = max(1, round((t_end - grid.t_warm) / grid.dt))
+    dt_main = (t_end - grid.t_warm) / n_steps
+    for _ in range(2):
+        u = np.linalg.solve(big_h + 0.5 * dt_warm * lap, big_h @ u)
+    for dt, n in [(dt_warm, n_warm - 1), (dt_main, n_steps)]:
+        for _ in range(n):
+            u = np.linalg.solve(
+                big_h + 0.5 * dt * lap, (big_h - 0.5 * dt * lap) @ u
+            )
+    return x, u
+
+
+class TestTextbookScheme:
+    def test_matches_dense_steps(self):
+        # 10 start-up steps (two implicit-Euler half-steps first), then 30 CN.
+        grid = SolverGrid(x_min=-1.0, x_max=1.0, nx=201, dt=1e-3, t_warm=0.01)
+        sys_ = PhaseSystem.from_two_phase(CANONICAL)
+        solution = solve_system(sys_, grid, 0.04)
+        x, u = dense_scheme(sys_, grid, 0.04)
+        np.testing.assert_allclose(solution.x, x, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(solution.values - u)) / np.max(u) <= 1e-12
+        assert solution.max_mass_deviation <= 1e-12
+
+    def test_factorization_failure_raises(self):
+        with pytest.raises(SolverFailure):
+            pde_oracle._implicit_solver(
+                np.array([1.0, -1.0, 1.0]), np.array([0.1, 0.1]), 1.0
+            )
 
 
 class TestSolveSystem:
@@ -191,6 +257,34 @@ class TestChapmanKolmogorov:
     def test_invariant_pairs(self):
         for s, t in [(0.2, 1.0), (0.4, 1.0), (0.5, 2.0)]:
             assert chapman_kolmogorov_check(CANONICAL, s, t, self.GRID) <= 1e-4
+
+
+class TestSemigroupQuadrature:
+    """The vector quadrature against one scalar quadrature per x."""
+
+    @pytest.mark.parametrize("q", [-0.1, 0.15])
+    @pytest.mark.parametrize("s", [0.4, 0.999])
+    def test_matches_scalar_per_x(self, q, s):
+        p = TwoPhaseParams(0.2, 0.3, q)
+        xs = np.array([-1.2, -0.4, 0.0, q, 0.3, 1.1])
+        values, err_est, calls = pde_oracle._semigroup(p, s, 1.0, xs)
+        reference = np.array([semigroup_scalar(p, s, 1.0, x) for x in xs])
+        assert np.max(np.abs(values - reference)) <= 1e-9
+        assert 0.0 <= err_est <= 1e-8
+        assert calls > 0
+
+    def test_report_carries_error_estimate_and_calls(self):
+        grid = SolverGrid(x_min=-2.0, x_max=2.0, nx=301, dt=1e-3)
+        error, err_est, calls = pde_oracle._chapman_kolmogorov(
+            CANONICAL, 0.4, 1.0, grid
+        )
+        assert error == chapman_kolmogorov_check(CANONICAL, 0.4, 1.0, grid)
+        assert 0.0 <= err_est <= 1e-8
+        assert calls > 0
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(DomainError):
+            pde_oracle._semigroup(CANONICAL, 0.4, math.inf, np.array([0.0]))
 
 
 class TestIdentityA14:

@@ -138,6 +138,24 @@ class TestPhaseSystem:
             ThreePhaseParams(0.2, 0.3, 0.25, 0.4, 0.3)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_sigmas_and_horizons_rejected(bad):
+    with pytest.raises(DomainError):
+        TwoPhaseParams(bad, 0.3, -0.1)
+    with pytest.raises(DomainError):
+        TwoPhaseParams(0.2, bad, -0.1)
+    with pytest.raises(DomainError):
+        ThreePhaseParams(0.2, 0.3, bad, 0.4, -0.3)
+    with pytest.raises(DomainError):
+        PhaseSystem(sigmas=(0.2, bad), boundaries=(0.1,))
+    with pytest.raises(DomainError):
+        two_phase_pdf(CANONICAL, 0.0, bad)
+    with pytest.raises(DomainError):
+        two_phase_cdf(CANONICAL, 0.0, bad)
+    with pytest.raises(DomainError):
+        three_phase_pdf(THREE_CANONICAL, 0.0, bad)
+
+
 class TestTwoPhasePdf:
     def test_gaussian_reduction_value(self):
         value = two_phase_pdf(TwoPhaseParams(1.0, 1.0, 0.5), 0.0, 1.0)
