@@ -31,6 +31,7 @@ from .phase_kernel import (
     ThreePhaseParams,
     TwoPhaseParams,
     _cdf,
+    _csv,
     _moments,
     _pdf,
     _pieces,
@@ -42,7 +43,6 @@ from .pde_oracle import (
     SolverFailure,
     SolverGrid,
     _chapman_kolmogorov,
-    report_to_json,
     solution_report,
     solve_for_system,
     verify_identity_A10,
@@ -165,12 +165,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _sig12(value: float) -> str:
-    return np.format_float_positional(
-        value, precision=12, unique=False, fractional=False, trim="k"
-    )
-
-
 def _model_params(args) -> TwoPhaseParams | ThreePhaseParams:
     if args.model == "two-phase":
         if args.q is None:
@@ -183,19 +177,26 @@ def _model_params(args) -> TwoPhaseParams | ThreePhaseParams:
     return ThreePhaseParams(args.sigma1, args.sigma2, args.sigma3, args.q1, args.q2)
 
 
-def _add_model_flags(parser: _Parser, three_phase: bool = True) -> None:
+def _add_model_flags(parser: _Parser) -> None:
     parser.add_argument("--model", choices=["two-phase", "three-phase"],
                         default="two-phase")
     parser.add_argument("--sigma1", type=float, required=True)
     parser.add_argument("--sigma2", type=float, required=True)
     parser.add_argument("--q", type=float, default=None,
                         help="interphase boundary (two-phase)")
-    if three_phase:
-        parser.add_argument("--sigma3", type=float, default=None)
-        parser.add_argument("--q1", type=float, default=None,
-                            help="upper boundary (three-phase, > 0)")
-        parser.add_argument("--q2", type=float, default=None,
-                            help="lower boundary (three-phase, < 0)")
+    parser.add_argument("--sigma3", type=float, default=None)
+    parser.add_argument("--q1", type=float, default=None,
+                        help="upper boundary (three-phase, > 0)")
+    parser.add_argument("--q2", type=float, default=None,
+                        help="lower boundary (three-phase, < 0)")
+
+
+def _seed(args, stderr) -> int:
+    """--seed, or 0 with a notice on stderr when it was not given."""
+    if args.seed is None:
+        stderr.write("notice: --seed not given; using seed 0\n")
+        return 0
+    return args.seed
 
 
 def _cmd_pdf(args, stdout, stderr) -> int:
@@ -213,43 +214,33 @@ def _cmd_cdf(args, stdout, stderr) -> int:
     params = _model_params(args)
     x_grid = np.asarray(args.x_grid)
     values = _cdf(_pieces(params, args.t), x_grid)
-    lines = ["x,cdf"]
-    lines += [f"{_sig12(x)},{_sig12(v)}" for x, v in zip(x_grid, values)]
-    _emit("\n".join(lines) + "\n", args.output, stdout)
+    _emit(_csv({"x": x_grid, "cdf": values}), args.output, stdout)
     return 0
 
 
 def _cmd_moments(args, stdout, stderr) -> int:
     if args.model == "three-phase":
         params = _model_params(args)
-        header, rows = "q1,q2", [((params.q1, params.q2), params)]
+        columns, models = {"q1": [params.q1], "q2": [params.q2]}, [params]
     else:
         if (args.q is None) == (args.q_grid is None):
             raise DomainError("two-phase moments need exactly one of --q / --q-grid")
         q_values = [args.q] if args.q is not None else list(np.asarray(args.q_grid))
-        header = "q"
-        rows = [((q,), TwoPhaseParams(args.sigma1, args.sigma2, float(q)))
-                for q in q_values]
-    lines = [header + ",mean,variance,skewness,kurtosis"]
-    for keys, params in rows:
-        mom = _moments(_pieces(params, args.t))
-        lines.append(",".join(_sig12(v) for v in
-                              (*keys, mom.mean, mom.variance, mom.skewness,
-                               mom.kurtosis)))
-    _emit("\n".join(lines) + "\n", args.output, stdout)
+        columns = {"q": q_values}
+        models = [TwoPhaseParams(args.sigma1, args.sigma2, float(q)) for q in q_values]
+    summaries = [_moments(_pieces(model, args.t)) for model in models]
+    for name in ("mean", "variance", "skewness", "kurtosis"):
+        columns[name] = [getattr(summary, name) for summary in summaries]
+    _emit(_csv(columns), args.output, stdout)
     return 0
 
 
 def _cmd_sample(args, stdout, stderr) -> int:
     params = TwoPhaseParams(args.sigma1, args.sigma2, args.q)
-    if args.seed is None:
-        stderr.write("notice: --seed not given; using seed 0\n")
-        seed = 0
-    else:
-        seed = args.seed
-    draws, _ = two_phase_sample(params, args.t, args.n, RngState(seed=seed))
-    lines = ["value"] + [_sig12(v) for v in draws]
-    _emit("\n".join(lines) + "\n", args.output, stdout)
+    draws, _ = two_phase_sample(
+        params, args.t, args.n, RngState(seed=_seed(args, stderr))
+    )
+    _emit(_csv({"value": draws}), args.output, stdout)
     return 0
 
 
@@ -303,19 +294,16 @@ def _cmd_surface(args, stdout, stderr) -> int:
 
 def _cmd_check_pde(args, stdout, stderr) -> int:
     params = _model_params(args)
-    if isinstance(params, TwoPhaseParams):
-        system = PhaseSystem.from_two_phase(params)
-    else:
-        system = PhaseSystem.from_three_phase(params)
-    reference = lambda x: _pdf(_pieces(system, args.t_end), x)
+    reference = lambda x: _pdf(_pieces(params, args.t_end), x)
     solution = solve_for_system(
-        system, args.t_end, nx=args.nx, dt=args.dt, t_warm=args.t_warm
+        PhaseSystem(params.sigmas, params.boundaries), args.t_end,
+        nx=args.nx, dt=args.dt, t_warm=args.t_warm,
     )
     report = solution_report(solution, reference, window=(-args.window, args.window))
     report["pass"] = bool(report["sup_error_vs_closed_form"] <= args.tolerance)
     report["tolerance"] = args.tolerance
     report["config"] = _config_echo(args)
-    _emit(report_to_json(report) + "\n", args.output, stdout)
+    _emit(json.dumps(report, indent=2) + "\n", args.output, stdout)
     return 0
 
 
@@ -341,12 +329,7 @@ def _cmd_check_ck(args, stdout, stderr) -> int:
 
 
 def _cmd_check_identities(args, stdout, stderr) -> int:
-    if args.seed is None:
-        stderr.write("notice: --seed not given; using seed 0\n")
-        seed = 0
-    else:
-        seed = args.seed
-    gen = RngState(seed=seed).generator()
+    gen = RngState(seed=_seed(args, stderr)).generator()
     worst_a10 = worst_a14 = 0.0
     for _ in range(args.trials):
         q, a2, t = gen.uniform(0.05, 2.0, 3)

@@ -9,7 +9,6 @@ every closed form in the package.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, TextIO
@@ -25,6 +24,7 @@ from .phase_kernel import (
     PhaseSystem,
     ThreePhaseParams,
     TwoPhaseParams,
+    _csv,
     _pdf,
     _pieces,
     two_phase_pdf,
@@ -228,11 +228,15 @@ def chapman_kolmogorov_check(
     two-phase law with boundary q - y evaluated at x - y; the outer time-s
     law is fixed, so its Gaussian pieces are built once.  The integrand is
     the vector over all x, integrated by one adaptive quadrature in y within
-    13 outer scales of [min(q, 0), max(q, 0)], with a break at y = q only.
-    That is where the source crosses the boundary, the one kink in y of both
-    factors.  The inner factor's own kink, where x - y meets q - y, sits at
-    x = q for every y, since the two differ by the constant x - q; so the
-    integrand is smooth across y = x and needs no break there.
+    13 outer scales of [min(q, 0), max(q, 0)], with a break at y = q, where
+    the source crosses the boundary, the one kink in y of both factors (the
+    inner factor's kink sits at x = q for every y).  So that no peak, about
+    w = min(sigma) sqrt(min(s, t - s)) wide, falls between the nodes, the
+    range starts cut into equal panels at most 40 w wide, refined up to 400
+    subdivisions.  Beyond 50 panels that leaves too little room, so the check
+    raises DomainError rather than return a wrong error: with q = 0 and s
+    near t, once (t - s)/s < 1.69e-4 (max(sigma)/min(sigma))^2.
+    (0.2, 0.3, -0.1) passes at s = 0.999 t and raises at s = 0.9998 t.
     """
     return _chapman_kolmogorov(p, s, t, grid)[0]
 
@@ -257,17 +261,23 @@ def _semigroup(
     of chapman_kolmogorov_check: (values, error_estimate, calls)."""
     if not 0 < s < t < math.inf:
         raise DomainError(f"need 0 < s < t < inf, got s={s}, t={t}")
-    smax = max(p.sigma1, p.sigma2)
+    smax, smin = max(p.sigmas), min(p.sigmas)
     y_lo = min(p.q, 0.0) - 13.0 * smax * math.sqrt(s)
     y_hi = max(p.q, 0.0) + 13.0 * smax * math.sqrt(s)
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=200)
+    width = smin * math.sqrt(min(s, t - s))
+    panels = math.ceil((y_hi - y_lo) / (40.0 * width))
+    if panels > 50:
+        raise DomainError(f"s={s}, t={t}: peaks {width:.3g} wide need "
+                          f"{panels} quadrature panels, more than 50")
+    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=400)
     outer = _pieces(p, s)
 
     def integrand(y: float) -> np.ndarray:
         inner = TwoPhaseParams(p.sigma1, p.sigma2, p.q - y)
         return _pdf(outer, y) * two_phase_pdf(inner, xs - y, t - s)
 
-    return integrate_vector(integrand, y_lo, y_hi, spec, points=(p.q,))
+    points = (p.q, *np.linspace(y_lo, y_hi, panels + 1)[1:-1])
+    return integrate_vector(integrand, y_lo, y_hi, spec, points=points)
 
 
 def verify_identity_A10(q: float, a2: float, t: float) -> tuple[float, float]:
@@ -339,16 +349,7 @@ def three_phase_flux(p: ThreePhaseParams, t: float) -> tuple[float, float]:
 
 def write_solution_csv(solution: GridSolution, stream: TextIO) -> None:
     """Serialize a GridSolution as `x,u` rows (12 significant digits)."""
-    stream.write("x,u\n")
-    for xv, uv in zip(solution.x, solution.values):
-        stream.write(
-            np.format_float_positional(xv, precision=12, unique=False,
-                                       fractional=False, trim="k")
-            + ","
-            + np.format_float_positional(uv, precision=12, unique=False,
-                                         fractional=False, trim="k")
-            + "\n"
-        )
+    stream.write(_csv({"x": solution.x, "u": solution.values}))
 
 
 def solution_report(
@@ -383,7 +384,3 @@ def solution_report(
         report["sup_error_vs_closed_form"] = float(err)
         report["window"] = [float(lo), float(hi)]
     return report
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False)

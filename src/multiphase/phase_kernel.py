@@ -4,11 +4,11 @@ A "phase" is a spatial interval with its own diffusion scale sigma_k; a unit
 point mass starts at x = 0 and diffuses under the piecewise heat equation with
 continuity of u and of the scaled flux (sigma^2/2) u_x at every boundary.  The
 law is a piecewise-linear map of multi-skewed Brownian motion (Ramirez 2011;
-Lejay 2006), so for any number of phases it is a finite sum of Gaussian pieces
-w N(x; m, (sigma_k sqrt(t))^2), each restricted to its phase interval
-(_gaussian_pieces).  The pdf, cdf and moments here, and the normalizer and
-call prices in pricing, are sums over those pieces.  Two-phase draws come
-from an exact skew-Brownian sampler.
+Lejay 2006), so for any number of phases it is a sum of Gaussian pieces
+w N(x; m, (sigma_k sqrt(t))^2), each restricted to its phase interval, cut
+to a finite sum under a stated bound (_gaussian_pieces).  The pdf, cdf and
+moments here, and the normalizer and call prices in pricing, are sums over
+those pieces.  Two-phase draws come from an exact skew-Brownian sampler.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ class TwoPhaseParams:
         if not math.isfinite(self.q):
             raise DomainError(f"q must be finite, got {self.q}")
 
+    sigmas = property(lambda self: (self.sigma1, self.sigma2))
+    boundaries = property(lambda self: (self.q,))
+
 
 @dataclass(frozen=True)
 class ThreePhaseParams:
@@ -88,8 +91,13 @@ class ThreePhaseParams:
                 "sigmas must be positive and finite, got "
                 f"({self.sigma1}, {self.sigma2}, {self.sigma3})"
             )
-        if not (self.q1 > 0 > self.q2):
-            raise DomainError(f"need q1 > 0 > q2, got q1={self.q1}, q2={self.q2}")
+        if not (math.inf > self.q1 > 0 > self.q2 > -math.inf):
+            raise DomainError(
+                f"need finite q1 > 0 > q2, got q1={self.q1}, q2={self.q2}"
+            )
+
+    sigmas = property(lambda self: (self.sigma1, self.sigma2, self.sigma3))
+    boundaries = property(lambda self: (self.q1, self.q2))
 
 
 @dataclass(frozen=True)
@@ -138,12 +146,11 @@ class PhaseSystem:
         return self.n_phases
 
     @classmethod
-    def from_two_phase(cls, p: TwoPhaseParams) -> "PhaseSystem":
-        return cls(sigmas=(p.sigma1, p.sigma2), boundaries=(p.q,))
+    def from_two_phase(cls, p: "ModelLike") -> "PhaseSystem":
+        """The system of a TwoPhaseParams or ThreePhaseParams."""
+        return cls(sigmas=p.sigmas, boundaries=p.boundaries)
 
-    @classmethod
-    def from_three_phase(cls, p: ThreePhaseParams) -> "PhaseSystem":
-        return cls(sigmas=(p.sigma1, p.sigma2, p.sigma3), boundaries=(p.q1, p.q2))
+    from_three_phase = from_two_phase
 
 
 @dataclass(frozen=True)
@@ -181,6 +188,11 @@ def _coeffs(p: TwoPhaseParams):
     return a1, a2, refl
 
 
+#: A ray is split only while |w| exp(-E/2) exceeds this (see _gaussian_pieces):
+#: ten binary orders below the unit roundoff 2^-53.
+_PRUNE = 2.0**-63
+
+
 def _gaussian_pieces(
     sigmas: Sequence[float], boundaries: Sequence[float], t: float
 ) -> list[tuple[float, float, float, list[list[float]]]]:
@@ -190,50 +202,73 @@ def _gaussian_pieces(
     its scale sigma_k*sqrt(t) and a list of [w, m] pairs, so that the density
     on [lo, hi) is sum w N(x; m, scale^2).
 
-    Rays expand in the skew coordinate y = int_0^x dx/sigma, in which every
-    piece has variance t.  A ray in phase f meeting the interface to phase g
-    splits into a reflection through it, weight R = (sf - sg)/(sf + sg), and
-    a transmission into g at the same y, weight T = 2 sg/(sf + sg); the three
-    keep u and (sigma^2/2) u_x continuous there.  Each new ray next meets the
-    other interface of its phase, at a y-distance that grows along every
-    path, so rays are split in order of that distance and rays reaching the
-    same (phase, position, interface), positions compared to 1e-9 scales,
-    merge first: unmerged, four or more phases grow exponentially.  A piece
-    lighter than 1e-15 is dropped, and a ray more than 40 sqrt(t) from its
-    next interface is not split, since its descendants lie at least as far
-    outside their phases.
+    Rays expand in the skew coordinate y = int_0^x dx/sigma, where every
+    piece has variance t; distances are in y, in units of sqrt(t).  A ray in
+    phase f meeting the interface to phase g splits into a reflection through
+    it, weight R = (sf - sg)/(sf + sg), and a transmission into g at the same
+    y, weight T = 2 sg/(sf + sg), keeping u and (sigma^2/2) u_x continuous.
+    Every piece is an image of the source, y = 2 sum_i c_i y_i with integer
+    c (reflection at interface i maps c to e_i - c), and rays of one image
+    meeting one interface from one phase merge exactly: unmerged, four or
+    more phases grow exponentially.  A new ray next meets the other
+    interface of its phase, so its distance d to it grows along every path;
+    rays split in order of d, after all paths to their image have merged.
+
+    Pruning.  With a_i the direct distance from the source to interface i,
+    a ray of weight w, d from interface i, has excess E = d^2 - a_i^2 and is
+    split only while |w| exp(-E/2) > _PRUNE = 2^-63.  E never falls along a
+    path, since the path to any interface grows at least as fast as the
+    direct distance.  A piece of weight v lying L beyond the interface j it
+    came through (so E = L^2 - a_j^2) adds, at x in its phase z past j, at
+    most |v| phi(L + z)/(sigma sqrt(t)) <= |v| exp(-E/2) f(x) to the density,
+    f(x) = N(y(x); 0, t)/sigma(x) being the free density of the skew
+    coordinate (y(x) lies within a_j + z of the source), and by the Mills
+    ratio at most |v| Phi(-L) <= |v| exp(-E/2) / 2 to the cdf.  So an unsplit
+    ray's descendants add at most A 2^-63 f(x) to the density and A 2^-64 to
+    the cdf, A being their absolute weight over |w|: below the unit roundoff
+    2^-53 of the local density u(x) wherever u(x) >= 2^-10 A f(x).  Summed
+    over all unsplit rays, the pieces matched a 40-scale expansion to
+    rounding on seeded systems of up to five phases
+    (scripts/piece_pruning.py).  The source ray (w = 1, E = 0) always splits,
+    so two phases always get their exact three pieces.
     """
     n = len(sigmas)
     scales = [s * math.sqrt(t) for s in sigmas]
     source = sum(q > 0.0 for q in boundaries)
-    found = [{} for _ in sigmas]  # per phase: position key -> [w, m]
-    rays = {}  # (phase, interface, position key) -> [w, m]
-    queue = []  # (distance, phase, interface, position key)
+    reach = [0.0] * (n - 1)  # a_i: direct distance from the source
+    for step in (-1, 1):
+        k, x, a = source, 0.0, 0.0
+        i = source - 1 if step < 0 else source
+        while 0 <= i < n - 1:
+            a += abs(boundaries[i] - x) / scales[k]
+            reach[i], x, k, i = a, boundaries[i], k + step, i + step
+    found = [{} for _ in sigmas]  # per phase: image c -> [w, m]
+    rays = {}  # (phase, interface, image c) -> [w, m]
+    queue = []  # (distance, phase, interface, image c)
 
-    def emit(k: int, m: float, w: float, came_from: int) -> None:
-        if abs(w) < 1e-15:
-            return
-        key = round(m / scales[k] * 1e9)
-        found[k].setdefault(key, [0.0, m])[0] += w
+    def emit(k: int, m: float, w: float, came_from: int, c: tuple) -> None:
+        found[k].setdefault(c, [0.0, m])[0] += w
         for i in (k - 1, k):
             if i != came_from and 0 <= i < n - 1:
                 distance = abs(m - boundaries[i]) / scales[k]
-                if distance <= 40.0:
-                    if (k, i, key) not in rays:
-                        rays[k, i, key] = [0.0, m]
-                        heapq.heappush(queue, (distance, k, i, key))
-                    rays[k, i, key][0] += w
+                excess = distance * distance - reach[i] * reach[i]
+                if abs(w) * math.exp(-0.5 * excess) > _PRUNE:
+                    if (k, i, c) not in rays:
+                        rays[k, i, c] = [0.0, m]
+                        heapq.heappush(queue, (distance, k, i, c))
+                    rays[k, i, c][0] += w
 
-    emit(source, 0.0, 1.0, -1)
+    emit(source, 0.0, 1.0, -1, (0,) * (n - 1))
     while queue:
-        _, k, i, key = heapq.heappop(queue)
-        w, m = rays.pop((k, i, key))
+        _, k, i, c = heapq.heappop(queue)
+        w, m = rays.pop((k, i, c))
         q = boundaries[i]
         g = i + 1 if k == i else i
         sf, sg = sigmas[k], sigmas[g]
         ratio = sg / sf
-        emit(k, 2.0 * q - m, (sf - sg) / (sf + sg) * w, i)
-        emit(g, (1.0 - ratio) * q + ratio * m, 2.0 * sg / (sf + sg) * w, i)
+        mirror = tuple([(j == i) - cj for j, cj in enumerate(c)])
+        emit(k, 2.0 * q - m, (sf - sg) / (sf + sg) * w, i, mirror)
+        emit(g, (1.0 - ratio) * q + ratio * m, 2.0 * sg / (sf + sg) * w, i, c)
     edges = (math.inf, *boundaries, -math.inf)
     return [
         (edges[k + 1], edges[k], scales[k], list(found[k].values()))
@@ -242,17 +277,8 @@ def _gaussian_pieces(
 
 
 def _pieces(model: ModelLike, t: float):
-    """_gaussian_pieces of a two-phase, three-phase or N-phase model."""
-    t = _check_t(t)
-    if isinstance(model, TwoPhaseParams):
-        return _gaussian_pieces((model.sigma1, model.sigma2), (model.q,), t)
-    if isinstance(model, ThreePhaseParams):
-        return _gaussian_pieces(
-            (model.sigma1, model.sigma2, model.sigma3), (model.q1, model.q2), t
-        )
-    if isinstance(model, PhaseSystem):
-        return _gaussian_pieces(model.sigmas, model.boundaries, t)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    """_gaussian_pieces of a model with sigmas and boundaries."""
+    return _gaussian_pieces(model.sigmas, model.boundaries, _check_t(t))
 
 
 def _phase_sum(scale: float, pieces, x: np.ndarray) -> np.ndarray:
@@ -425,9 +451,7 @@ def three_phase_pdf_branch(
     Exposed so boundary one-sided values and fluxes can be probed directly;
     three_phase_pdf selects the phase-appropriate branch pointwise.  Branch k
     is the sum of phase k's Gaussian pieces (see _gaussian_pieces), unmasked,
-    so it extends smoothly past that phase's boundaries.  In the skew
-    coordinate the pieces are the images of multi-skewed Brownian motion
-    (Ramirez 2011; Lejay 2006).
+    so it extends smoothly past that phase's boundaries.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     return tuple(
@@ -465,7 +489,6 @@ class DensityTable:
     x: np.ndarray
     density: np.ndarray
     normal_density: np.ndarray | None
-    source: str  # "closed-form" or "numerical"
 
 
 ModelLike = Union[TwoPhaseParams, ThreePhaseParams, PhaseSystem]
@@ -479,50 +502,41 @@ def density_grid(
 ) -> DensityTable:
     """Densities over a grid of x values, in grid order.
 
-    Models of up to three phases, the source in any of them, use their
-    closed forms; a PhaseSystem of four or more phases, whose piece count
-    grows fast with N, is evaluated by the finite-volume solver and flagged
-    "numerical"; it builds its pieces only for the normal column.  The
-    optional normal column is the zero-mean Gaussian of commensurate
-    variance (the variance of the model's law at horizon t, from its
-    Gaussian pieces).
+    Any model, of any number of phases and the source in any of them, is a
+    sum of its Gaussian pieces (_gaussian_pieces, whose pruning bound holds
+    at every grid point).  The optional normal column is the zero-mean
+    Gaussian of commensurate variance (the variance of the model's law at
+    horizon t, from the same pieces).
     """
     t = _check_t(t)
     x_arr = np.asarray(list(x_grid), dtype=float)
     if x_arr.size == 0:
         raise DomainError("x_grid must be nonempty")
-    closed_form = not isinstance(model, PhaseSystem) or model.n_phases <= 3
-    phases = _pieces(model, t) if closed_form or include_normal else None
-    if closed_form:
-        dens = _checked(x_arr, t, _pdf(phases, x_arr))
-        source = "closed-form"
-    else:
-        from . import pde_oracle  # local import: pde_oracle depends on this module
-
-        solution = pde_oracle.solve_for_system(model, t)
-        dens = np.interp(x_arr, solution.x, solution.values)
-        source = "numerical"
-
+    phases = _pieces(model, t)
+    dens = _checked(x_arr, t, _pdf(phases, x_arr))
     normal = None
     if include_normal:
         normal = _phase_sum(math.sqrt(_moments(phases).variance), [(1.0, 0.0)], x_arr)
-    return DensityTable(x=x_arr, density=dens, normal_density=normal, source=source)
+    return DensityTable(x=x_arr, density=dens, normal_density=normal)
 
 
 def _format_sig12(value: float) -> str:
+    """value with 12 significant digits, as every CSV output writes it."""
     return np.format_float_positional(
         value, precision=12, unique=False, fractional=False, trim="k"
     )
 
 
+def _csv(columns: dict) -> str:
+    """CSV text: the column names, then one _format_sig12 row per index."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_format_sig12, row)) for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n"
+
+
 def write_density_csv(table: DensityTable, stream: TextIO) -> None:
     """Serialize a DensityTable: header x,density[,normal_density], 12 sig digits."""
-    cols = ["x", "density"]
+    columns = {"x": table.x, "density": table.density}
     if table.normal_density is not None:
-        cols.append("normal_density")
-    stream.write(",".join(cols) + "\n")
-    for i in range(table.x.size):
-        row = [_format_sig12(table.x[i]), _format_sig12(table.density[i])]
-        if table.normal_density is not None:
-            row.append(_format_sig12(table.normal_density[i]))
-        stream.write(",".join(row) + "\n")
+        columns["normal_density"] = table.normal_density
+    stream.write(_csv(columns))

@@ -1,5 +1,6 @@
 """Shared oracles and invariant sweeps used by module and acceptance tests."""
 
+import heapq
 import math
 
 import numpy as np
@@ -245,3 +246,69 @@ def batch_moments(draws: np.ndarray, n_batches: int = 100):
     se_skew = batch_skew.std(ddof=1) / math.sqrt(n_batches)
     se_kurt = batch_kurt.std(ddof=1) / math.sqrt(n_batches)
     return float(skew), float(se_skew), float(kurt), float(se_kurt)
+
+
+def reference_gaussian_pieces(sigmas, boundaries, t):
+    """The Gaussian pieces as phase_kernel._gaussian_pieces built them with
+    hand-picked pruning: a ray is split while it lies within 40 scales of
+    its next interface, pieces lighter than 1e-15 are dropped, and rays merge
+    when their positions agree to 1e-9 scales.  Same (lo, hi, scale, pieces)
+    layout."""
+    n = len(sigmas)
+    scales = [s * math.sqrt(t) for s in sigmas]
+    source = sum(q > 0.0 for q in boundaries)
+    found = [{} for _ in sigmas]
+    rays = {}
+    queue = []
+
+    def emit(k, m, w, came_from):
+        if abs(w) < 1e-15:
+            return
+        key = round(m / scales[k] * 1e9)
+        found[k].setdefault(key, [0.0, m])[0] += w
+        for i in (k - 1, k):
+            if i != came_from and 0 <= i < n - 1:
+                distance = abs(m - boundaries[i]) / scales[k]
+                if distance <= 40.0:
+                    if (k, i, key) not in rays:
+                        rays[k, i, key] = [0.0, m]
+                        heapq.heappush(queue, (distance, k, i, key))
+                    rays[k, i, key][0] += w
+
+    emit(source, 0.0, 1.0, -1)
+    while queue:
+        _, k, i, key = heapq.heappop(queue)
+        w, m = rays.pop((k, i, key))
+        q = boundaries[i]
+        g = i + 1 if k == i else i
+        sf, sg = sigmas[k], sigmas[g]
+        ratio = sg / sf
+        emit(k, 2.0 * q - m, (sf - sg) / (sf + sg) * w, i)
+        emit(g, (1.0 - ratio) * q + ratio * m, 2.0 * sg / (sf + sg) * w, i)
+    edges = (math.inf, *boundaries, -math.inf)
+    return [
+        (edges[k + 1], edges[k], scales[k], list(found[k].values()))
+        for k in range(n)
+    ]
+
+
+def free_skew_density(sigmas, boundaries, x, t):
+    """f(x) = N(y(x); 0, t)/sigma(x), the free density of the skew coordinate
+    y(x) = int_0^x dx/sigma, at every x of the array x."""
+    x = np.asarray(x, dtype=float)
+    edges = np.array([np.inf, *boundaries, -np.inf])
+    y = np.zeros_like(x)
+    for k, sigma in enumerate(sigmas):
+        lo, hi = edges[k + 1], edges[k]
+        y += (np.clip(x, lo, hi) - np.clip(0.0, lo, hi)) / sigma
+    phase = np.searchsorted(-edges[1:-1], -x, side="left")
+    sigma = np.asarray(sigmas)[phase]
+    return np.exp(-0.5 * y * y / t) / (sigma * math.sqrt(2.0 * math.pi * t))
+
+
+def random_phase_system(rng, n_phases):
+    """sigmas log-uniform in [0.1, 1], boundaries uniform in [-1, 1]."""
+    sigmas = tuple(float(s) for s in np.exp(rng.uniform(math.log(0.1), 0.0, n_phases)))
+    boundaries = tuple(sorted((float(q) for q in rng.uniform(-1.0, 1.0, n_phases - 1)),
+                              reverse=True))
+    return sigmas, boundaries

@@ -12,7 +12,6 @@ from multiphase.pde_oracle import (
     SolverFailure,
     SolverGrid,
     chapman_kolmogorov_check,
-    report_to_json,
     solution_report,
     solve_for_system,
     solve_system,
@@ -254,6 +253,24 @@ class TestChapmanKolmogorov:
         with pytest.raises(DomainError):
             chapman_kolmogorov_check(CANONICAL, 1.0, 1.0, self.GRID)
 
+    @pytest.mark.parametrize(
+        "p, s", [(TwoPhaseParams(0.05, 1.0, 0.3), 0.9998), (CANONICAL, 0.99999)]
+    )
+    def test_unresolvable_split_raises(self, p, s):
+        # Peaks too narrow for 50 quadrature panels; these read 0.476 and
+        # 1.75 instead of raising.
+        with pytest.raises(DomainError):
+            chapman_kolmogorov_check(p, s, 1.0, self.GRID)
+
+    @pytest.mark.parametrize(
+        "p, s, t",
+        [(CANONICAL, 0.9995, 1.0), (TwoPhaseParams(0.6, 0.02, 0.3), 0.2, 0.25)],
+    )
+    def test_narrow_peaks_resolved(self, p, s, t):
+        # The second read 39.9 when the quadrature missed the slow phase's
+        # peaks, 0.0045 wide in a range of 7.3.
+        assert chapman_kolmogorov_check(p, s, t, self.GRID) <= 1e-10
+
     def test_invariant_pairs(self):
         for s, t in [(0.2, 1.0), (0.4, 1.0), (0.5, 2.0)]:
             assert chapman_kolmogorov_check(CANONICAL, s, t, self.GRID) <= 1e-4
@@ -380,7 +397,7 @@ class TestSerialization:
             ),
             window=(-1.0, 1.0),
         )
-        parsed = json.loads(report_to_json(report))
+        parsed = json.loads(json.dumps(report, indent=2))
         assert "mass" in parsed
         assert "sup_error_vs_closed_form" in parsed
         assert "grid" in parsed

@@ -6,16 +6,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     batch_moments,
     continuity_mismatch,
     flux_mismatch,
+    free_skew_density,
     gaussian_reduction_sup_error,
     iter_parameter_grid,
     normalization_error,
+    random_phase_system,
+    reference_gaussian_pieces,
     three_phase_continuity_mismatch,
     three_phase_flux_mismatch,
     three_phase_normalization_error,
@@ -37,7 +40,9 @@ from multiphase.phase_kernel import (
     two_phase_sample,
     write_density_csv,
     _cdf,
+    _gaussian_pieces,
     _moments,
+    _pdf,
     _pieces,
 )
 
@@ -56,14 +61,15 @@ def quadrature_moments(p, t):
     integrated in units of s = max(sigma)*sqrt(t), so every integral is O(1)
     and the quadrature's tolerances are relative to the law's own scale;
     tails are cut 12 units beyond the source/boundary span, breaks sit at q
-    and 0.  Breaks closer than 1e-12 units are merged: QUADPACK rejects an
-    interval that narrow (q = 2e-305 gave one).
+    and 0.  Breaks closer than 1e-8 units are merged: QUADPACK rejects an
+    interval of 2e-305 units (q = 2e-305 gave one), and one of 1.7e-10 units
+    (q = 2.14e-10) left the variance 2.4e-10 relative off.
     """
     s = max(p.sigma1, p.sigma2) * math.sqrt(t)
     u_q = p.q / s
     breaks = []
     for u in sorted({min(u_q, 0.0) - 12.0, u_q, 0.0, max(u_q, 0.0) + 12.0}):
-        if not breaks or u - breaks[-1] > 1e-12:
+        if not breaks or u - breaks[-1] > 1e-8:
             breaks.append(u)
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
 
@@ -136,6 +142,8 @@ class TestPhaseSystem:
             ThreePhaseParams(0.2, 0.3, 0.25, -0.4, -0.3)
         with pytest.raises(DomainError):
             ThreePhaseParams(0.2, 0.3, 0.25, 0.4, 0.3)
+        with pytest.raises(DomainError):
+            ThreePhaseParams(0.2, 0.3, 0.25, math.inf, -0.3)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -434,22 +442,28 @@ class TestDensityGrid:
         )
         xs = np.linspace(-0.8, 0.8, 41)
         table = density_grid(sys_, 0.5, xs)
-        assert table.source == "numerical"
         assert np.all(table.density >= -1e-10)
 
-    def test_generic_system_builds_no_pieces_without_normal_column(self, monkeypatch):
-        import multiphase.phase_kernel as kernel
+    @pytest.mark.parametrize("sys_", [
+        PhaseSystem(sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)),
+        PhaseSystem(
+            sigmas=(0.2, 0.35, 0.25, 0.3, 0.22), boundaries=(0.6, 0.25, -0.15, -0.5)
+        ),
+    ], ids=["four-phase", "five-phase"])
+    def test_many_phase_systems_use_the_pieces(self, sys_, monkeypatch):
+        # density_grid sums the Gaussian pieces for any number of phases and
+        # never runs the solver; the solver's grid checks the result.
+        from multiphase import pde_oracle
+
+        solution = pde_oracle.solve_for_system(sys_, 0.5)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the solver path built the Gaussian pieces")
+            raise AssertionError("density_grid ran the finite-volume solver")
 
-        sys_ = PhaseSystem(
-            sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)
-        )
-        monkeypatch.setattr(kernel, "_gaussian_pieces", refuse)
-        table = density_grid(sys_, 0.5, np.linspace(-0.8, 0.8, 41))
-        assert table.source == "numerical"
-        assert table.normal_density is None
+        monkeypatch.setattr(pde_oracle, "solve_system", refuse)
+        table = density_grid(sys_, 0.5, solution.x)
+        rel = np.max(np.abs(table.density - solution.values)) / np.max(table.density)
+        assert rel <= 1e-3
 
     def test_three_phase_outer_source_closed_form(self):
         from multiphase.pde_oracle import solve_for_system
@@ -457,7 +471,6 @@ class TestDensityGrid:
         sys_ = PhaseSystem(sigmas=(0.2, 0.3, 0.25), boundaries=(-0.2, -0.5))
         solution = solve_for_system(sys_, 0.5)
         table = density_grid(sys_, 0.5, solution.x)
-        assert table.source == "closed-form"
         rel = np.max(np.abs(table.density - solution.values)) / np.max(table.density)
         assert rel <= 1e-3
 
@@ -488,6 +501,32 @@ class TestDensityGrid:
         assert len(rows) == 12
         parsed = float(rows[1][1])
         assert parsed == pytest.approx(table.density[0], rel=1e-11)
+
+
+@pytest.mark.parametrize("n_phases", [3, 4, 5])
+def test_pruned_pieces_match_forty_scale_expansion(n_phases):
+    # The pruning bound of _gaussian_pieces, granting the unsplit rays'
+    # descendants up to 2^10 times their weight: the pieces miss the density
+    # by at most 2^-53 f(x), f the free density of the skew coordinate, and
+    # the cdf by 2^-54.  Both sums also round, at up to 2^-48 of the sum of
+    # the absolute terms.
+    rng = np.random.default_rng(n_phases)
+    x = np.linspace(-6.0, 6.0, 601)
+    for _ in range(4):
+        sigmas, boundaries = random_phase_system(rng, n_phases)
+        phases = _gaussian_pieces(sigmas, boundaries, 1.0)
+        reference = reference_gaussian_pieces(sigmas, boundaries, 1.0)
+        absolute = [
+            (lo, hi, scale, [(abs(w), m) for w, m in pieces])
+            for lo, hi, scale, pieces in reference
+        ]
+        bound = (
+            2.0**-53 * free_skew_density(sigmas, boundaries, x, 1.0)
+            + 2.0**-48 * _pdf(absolute, x)
+        )
+        assert np.all(np.abs(_pdf(phases, x) - _pdf(reference, x)) <= bound)
+        cdf_gap = np.abs(_cdf(phases, x) - _cdf(reference, x))
+        assert np.all(cdf_gap <= 2.0**-54 + 2.0**-48)
 
 
 class TestInvariantSweeps:
@@ -531,6 +570,7 @@ def moment_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=moment_cases())
+@example(case=(TwoPhaseParams(0.125, 1.0, 2.14e-10), 1.0))
 def test_closed_form_moments_match_quadrature_property(case):
     # Mean to 1e-10 of the standard deviation (the mean can vanish), variance
     # to 1e-10 relative, skewness and kurtosis to 1e-8 absolute.
