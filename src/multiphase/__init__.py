@@ -5,161 +5,22 @@ moments, and sampling) and the exact three-phase density, both sums of the
 Gaussian pieces of multi-skewed Brownian motion; a finite-volume PDE oracle
 for cross-validation; maximum likelihood fitting with a likelihood-ratio
 normality test; and risk-neutral European call pricing with an
-implied-volatility surface generator.
+implied-volatility surface generator.  The package exports each module's
+public names, as listed in that module's `__all__`.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # before the imports: cli reads it
 
-from .numerics import (
-    BracketError,
-    HessianError,
-    QuadratureError,
-    QuadratureSpec,
-    RngState,
-    find_root_bracketed,
-    integrate_adaptive,
-    numerical_hessian,
-)
-from .phase_kernel import (
-    DensityTable,
-    DomainError,
-    MomentSummary,
-    PhaseSystem,
-    SeriesConsistencyError,
-    ThreePhaseParams,
-    TwoPhaseParams,
-    density_grid,
-    three_phase_pdf,
-    three_phase_pdf_branch,
-    two_phase_cdf,
-    two_phase_moments,
-    two_phase_pdf,
-    two_phase_sample,
-    write_density_csv,
-)
-from .pde_oracle import (
-    GridSolution,
-    SolverFailure,
-    SolverGrid,
-    chapman_kolmogorov_check,
-    solution_report,
-    solve_for_system,
-    solve_system,
-    three_phase_flux,
-    verify_identity_A10,
-    verify_identity_A14,
-    write_solution_csv,
-)
-from .inference import (
-    DegenerateSampleError,
-    FitConfig,
-    FitDiagnostics,
-    FitReport,
-    IngestionError,
-    NestingError,
-    ReturnSample,
-    davies_p_value,
-    fit_normal_null,
-    fit_two_phase,
-    load_returns,
-    log_likelihood_two_phase,
-    lr_test,
-)
-from .pricing import (
-    InternalConsistencyError,
-    OptionTerms,
-    PriceDetail,
-    PricingError,
-    PricingModel,
-    SurfaceRow,
-    VolBoundsError,
-    black_scholes_call,
-    commensurate_volatility,
-    drift_mu_bar,
-    implied_vol,
-    lambda_normalizer,
-    price_call,
-    price_call_detail,
-    price_call_quadrature,
-    put_from_parity,
-    surface,
-    write_surface_csv,
-)
-from .cli import main, run
+from . import cli, inference, numerics, pde_oracle, phase_kernel, pricing
+from .numerics import *  # noqa: F401,F403
+from .phase_kernel import *  # noqa: F401,F403
+from .pde_oracle import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .pricing import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # numerics
-    "BracketError",
-    "HessianError",
-    "QuadratureError",
-    "QuadratureSpec",
-    "RngState",
-    "find_root_bracketed",
-    "integrate_adaptive",
-    "numerical_hessian",
-    # phase_kernel
-    "DensityTable",
-    "DomainError",
-    "MomentSummary",
-    "PhaseSystem",
-    "SeriesConsistencyError",
-    "ThreePhaseParams",
-    "TwoPhaseParams",
-    "density_grid",
-    "three_phase_pdf",
-    "three_phase_pdf_branch",
-    "two_phase_cdf",
-    "two_phase_moments",
-    "two_phase_pdf",
-    "two_phase_sample",
-    "write_density_csv",
-    # pde_oracle
-    "GridSolution",
-    "SolverFailure",
-    "SolverGrid",
-    "chapman_kolmogorov_check",
-    "solution_report",
-    "solve_for_system",
-    "solve_system",
-    "three_phase_flux",
-    "verify_identity_A10",
-    "verify_identity_A14",
-    "write_solution_csv",
-    # inference
-    "DegenerateSampleError",
-    "FitConfig",
-    "FitDiagnostics",
-    "FitReport",
-    "IngestionError",
-    "NestingError",
-    "ReturnSample",
-    "davies_p_value",
-    "fit_normal_null",
-    "fit_two_phase",
-    "load_returns",
-    "log_likelihood_two_phase",
-    "lr_test",
-    # pricing
-    "InternalConsistencyError",
-    "OptionTerms",
-    "PriceDetail",
-    "PricingError",
-    "PricingModel",
-    "SurfaceRow",
-    "VolBoundsError",
-    "black_scholes_call",
-    "commensurate_volatility",
-    "drift_mu_bar",
-    "implied_vol",
-    "lambda_normalizer",
-    "price_call",
-    "price_call_detail",
-    "price_call_quadrature",
-    "put_from_parity",
-    "surface",
-    "write_surface_csv",
-    # cli
-    "main",
-    "run",
+__all__ = ["__version__"] + [
+    name
+    for module in (numerics, phase_kernel, pde_oracle, inference, pricing, cli)
+    for name in module.__all__
 ]

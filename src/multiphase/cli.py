@@ -1,9 +1,11 @@
 """Command-line interface: every capability as a subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 1 usage error, 2 numerical/domain error.  File outputs
-are written atomically (temp file + rename); the resolved configuration is
-echoed into JSON payloads and to the error stream for CSV payloads so every
-run is self-describing.
+Exit codes: 0 success, 1 usage error, 2 numerical/domain error.  Each
+subcommand's handler returns its payload, CSV text or a JSON-ready dict, and
+`run` alone writes it: to stdout, or atomically (temp file + rename) to
+--output.  `run` also echoes the resolved configuration, as the first key of a
+JSON payload or as one `config:` line on the error stream before a CSV one, so
+every run is self-describing.
 """
 
 from __future__ import annotations
@@ -13,19 +15,17 @@ import contextlib
 import functools
 import io
 import json
-import math
 import os
 import re
 import sys
 import tempfile
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .numerics import QuadratureError, RngState
 from .phase_kernel import (
-    DomainError,
     PhaseSystem,
     SeriesConsistencyError,
     ThreePhaseParams,
@@ -43,6 +43,7 @@ from .pde_oracle import (
     SolverFailure,
     SolverGrid,
     _chapman_kolmogorov,
+    _window,
     solution_report,
     solve_for_system,
     verify_identity_A10,
@@ -59,6 +60,9 @@ from .pricing import (
 )
 
 __all__ = ["run", "main", "entrypoint"]
+
+#: Subcommands whose payload is a JSON object; the others return CSV text.
+_JSON_COMMANDS = ("fit", "price", "check-pde", "check-ck", "check-identities")
 
 #: ValueError covers every domain, bracket, bounds and ingestion error.
 _NUMERIC_ERRORS = (
@@ -191,6 +195,11 @@ def _add_model_flags(parser: _Parser) -> None:
                         help="lower boundary (three-phase, < 0)")
 
 
+def _add_two_phase_flags(parser: _Parser) -> None:
+    for flag in ("--sigma1", "--sigma2", "--q"):
+        parser.add_argument(flag, type=float, required=True)
+
+
 def _seed(args, stderr) -> int:
     """--seed, or 0 with a notice on stderr when it was not given."""
     if args.seed is None:
@@ -199,61 +208,55 @@ def _seed(args, stderr) -> int:
     return args.seed
 
 
-def _cmd_pdf(args, stdout, stderr) -> int:
+def _cmd_pdf(args, stderr) -> str:
     params = _model_params(args)
     table = density_grid(
         params, args.t, np.asarray(args.x_grid), include_normal=args.include_normal
     )
     buf = io.StringIO()
     write_density_csv(table, buf)
-    _emit(buf.getvalue(), args.output, stdout)
-    return 0
+    return buf.getvalue()
 
 
-def _cmd_cdf(args, stdout, stderr) -> int:
+def _cmd_cdf(args, stderr) -> str:
     params = _model_params(args)
     x_grid = np.asarray(args.x_grid)
-    values = _cdf(_pieces(params, args.t), x_grid)
-    _emit(_csv({"x": x_grid, "cdf": values}), args.output, stdout)
-    return 0
+    return _csv({"x": x_grid, "cdf": _cdf(_pieces(params, args.t), x_grid)})
 
 
-def _cmd_moments(args, stdout, stderr) -> int:
+def _cmd_moments(args, stderr) -> str:
     if args.model == "three-phase":
         params = _model_params(args)
         columns, models = {"q1": [params.q1], "q2": [params.q2]}, [params]
     else:
         if (args.q is None) == (args.q_grid is None):
-            raise DomainError("two-phase moments need exactly one of --q / --q-grid")
+            raise _UsageError(
+                "two-phase moments need exactly one of --q / --q-grid", args._parser
+            )
         q_values = [args.q] if args.q is not None else list(np.asarray(args.q_grid))
         columns = {"q": q_values}
         models = [TwoPhaseParams(args.sigma1, args.sigma2, float(q)) for q in q_values]
     summaries = [_moments(_pieces(model, args.t)) for model in models]
     for name in ("mean", "variance", "skewness", "kurtosis"):
         columns[name] = [getattr(summary, name) for summary in summaries]
-    _emit(_csv(columns), args.output, stdout)
-    return 0
+    return _csv(columns)
 
 
-def _cmd_sample(args, stdout, stderr) -> int:
+def _cmd_sample(args, stderr) -> str:
     params = TwoPhaseParams(args.sigma1, args.sigma2, args.q)
     draws, _ = two_phase_sample(
         params, args.t, args.n, RngState(seed=_seed(args, stderr))
     )
-    _emit(_csv({"value": draws}), args.output, stdout)
-    return 0
+    return _csv({"value": draws})
 
 
-def _cmd_fit(args, stdout, stderr) -> int:
+def _cmd_fit(args, stderr) -> dict:
     sample = load_returns(args.input, unit=args.unit, t=args.t)
-    cfg = FitConfig(tol=args.tol, demean=args.demean)
-    report = fit_two_phase(sample, cfg)
-    payload = {"config": _config_echo(args), "report": report.to_json_dict()}
-    _emit(json.dumps(payload, indent=2) + "\n", args.output, stdout)
-    return 0
+    report = fit_two_phase(sample, FitConfig(demean=args.demean))
+    return {"report": report.to_json_dict()}
 
 
-def _cmd_price(args, stdout, stderr) -> int:
+def _cmd_price(args, stderr) -> dict:
     model = PricingModel(TwoPhaseParams(args.sigma1, args.sigma2, args.q))
     terms = OptionTerms(
         spot=args.s, strike=args.k, rate=args.r,
@@ -261,8 +264,7 @@ def _cmd_price(args, stdout, stderr) -> int:
         day_count=args.daycount,
     )
     detail = price_call_detail(model, terms)
-    payload = {
-        "config": _config_echo(args),
+    return {
         "inputs": {
             "sigma1": args.sigma1, "sigma2": args.sigma2, "q": args.q,
             "spot": args.s, "strike": args.k, "rate": args.r,
@@ -273,11 +275,9 @@ def _cmd_price(args, stdout, stderr) -> int:
         "mu_bar": detail.mu_bar,
         "lambda": detail.lambda_value,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output, stdout)
-    return 0
 
 
-def _cmd_surface(args, stdout, stderr) -> int:
+def _cmd_surface(args, stderr) -> str:
     model = PricingModel(TwoPhaseParams(args.sigma1, args.sigma2, args.q))
     rows = surface(
         model, list(np.asarray(args.strikes)), args.taus,
@@ -285,14 +285,13 @@ def _cmd_surface(args, stdout, stderr) -> int:
     )
     buf = io.StringIO()
     write_surface_csv(rows, buf)
-    _emit(buf.getvalue(), args.output, stdout)
-    notes = [r for r in rows if r.note]
-    for row in notes:
-        stderr.write(f"note: tau={row.tau_days} K={row.strike}: {row.note}\n")
-    return 0
+    for row in rows:
+        if row.note:
+            stderr.write(f"note: tau={row.tau_days} K={row.strike}: {row.note}\n")
+    return buf.getvalue()
 
 
-def _cmd_check_pde(args, stdout, stderr) -> int:
+def _cmd_check_pde(args, stderr) -> dict:
     params = _model_params(args)
     reference = lambda x: _pdf(_pieces(params, args.t_end), x)
     solution = solve_for_system(
@@ -302,33 +301,23 @@ def _cmd_check_pde(args, stdout, stderr) -> int:
     report = solution_report(solution, reference, window=(-args.window, args.window))
     report["pass"] = bool(report["sup_error_vs_closed_form"] <= args.tolerance)
     report["tolerance"] = args.tolerance
-    report["config"] = _config_echo(args)
-    _emit(json.dumps(report, indent=2) + "\n", args.output, stdout)
-    return 0
+    return report
 
 
-def _cmd_check_ck(args, stdout, stderr) -> int:
+def _cmd_check_ck(args, stderr) -> dict:
     params = TwoPhaseParams(args.sigma1, args.sigma2, args.q)
-    smax = max(args.sigma1, args.sigma2)
-    span = 8.5 * smax * math.sqrt(args.t)
-    grid = SolverGrid(
-        x_min=min(args.q, 0.0) - span, x_max=max(args.q, 0.0) + span,
-        nx=201, dt=1e-3, t_warm=min(0.05, args.s_mid / 2),
-    )
+    grid = SolverGrid(*_window(params, args.t))
     error, err_est, calls = _chapman_kolmogorov(params, args.s_mid, args.t, grid)
-    payload = {
-        "config": _config_echo(args),
+    return {
         "max_abs_error": error,
         "quadrature_error_estimate": err_est,
         "integrand_calls": calls,
         "tolerance": args.tolerance,
         "pass": bool(error <= args.tolerance),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output, stdout)
-    return 0
 
 
-def _cmd_check_identities(args, stdout, stderr) -> int:
+def _cmd_check_identities(args, stderr) -> dict:
     gen = RngState(seed=_seed(args, stderr)).generator()
     worst_a10 = worst_a14 = 0.0
     for _ in range(args.trials):
@@ -338,16 +327,13 @@ def _cmd_check_identities(args, stdout, stderr) -> int:
         alpha, beta, t2 = gen.uniform(0.05, 2.0, 3)
         lhs, rhs = verify_identity_A14(alpha, beta, t2)
         worst_a14 = max(worst_a14, abs(lhs - rhs))
-    payload = {
-        "config": _config_echo(args),
+    return {
         "trials": args.trials,
         "worst_abs_error_A10": worst_a10,
         "worst_abs_error_A14": worst_a14,
         "tolerance": args.tolerance,
         "pass": bool(worst_a10 <= args.tolerance and worst_a14 <= args.tolerance),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output, stdout)
-    return 0
 
 
 @functools.cache
@@ -394,9 +380,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(_handler=_cmd_moments)
 
     p = new("sample", "i.i.d. draws from the two-phase law (CSV)")
-    p.add_argument("--sigma1", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    _add_two_phase_flags(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -407,13 +391,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--unit", choices=["fraction", "percent"], default="fraction")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--demean", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(_handler=_cmd_fit)
 
     p = new("price", "closed-form European call price (JSON)")
-    p.add_argument("--sigma1", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    _add_two_phase_flags(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
@@ -423,9 +404,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(_handler=_cmd_price)
 
     p = new("surface", "implied-volatility surface over strikes x maturities (CSV)")
-    p.add_argument("--sigma1", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    _add_two_phase_flags(p)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--strikes", type=_parse_step_range, required=True,
@@ -447,9 +426,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(_handler=_cmd_check_pde)
 
     p = new("check-ck", "two-phase semigroup (convolution) check (JSON)")
-    p.add_argument("--sigma1", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    _add_two_phase_flags(p)
     p.add_argument("--s-mid", type=float, required=True,
                    help="intermediate time 0 < s < t")
     p.add_argument("--t", type=float, required=True)
@@ -466,7 +443,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
-    """Dispatch argv to a subcommand; returns the process exit status."""
+    """Dispatch argv to a subcommand and write its payload; returns the
+    process exit status."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
@@ -475,23 +453,19 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         # process streams; redirect so callers always get the full output.
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        stderr.write(f"error: {exc}\n")
-        stderr.write(exc.parser.format_usage())
-        return 1
+        if args.command is None:
+            raise _UsageError("a subcommand is required", parser)
+        config = _config_echo(args)
+        if args.command in _JSON_COMMANDS:
+            payload = {"config": config, **args._handler(args, stderr)}
+            text = json.dumps(payload, indent=2) + "\n"
+        else:
+            stderr.write("config: " + json.dumps(config) + "\n")
+            text = args._handler(args, stderr)
+        _emit(text, args.output, stdout)
+        return 0
     except SystemExit as exc:  # argparse --help / --version path
-        code = exc.code
-        return 0 if code is None else int(code)
-    handler: Callable | None = getattr(args, "_handler", None)
-    if handler is None:
-        stderr.write("error: a subcommand is required\n")
-        stderr.write(parser.format_usage())
-        return 1
-    try:
-        if handler in (_cmd_pdf, _cmd_cdf, _cmd_moments, _cmd_sample,
-                       _cmd_surface):
-            stderr.write("config: " + json.dumps(_config_echo(args)) + "\n")
-        return handler(args, stdout, stderr)
+        return 0 if exc.code is None else int(exc.code)
     except _UsageError as exc:
         stderr.write(f"error: {exc}\n")
         stderr.write(exc.parser.format_usage())

@@ -55,8 +55,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: Profile grid: 49 sample quantiles, trimmed to 2-98% (Andrews 1993).
 _GRID_LEVELS = np.linspace(0.02, 0.98, 49)
-#: Newton's limits at fixed q: iterations, largest step in a log scale, and
-#: the half-width of the box around the null's log scale it stays in.
+#: Newton's limits at fixed q: the predicted log-likelihood gain at which it
+#: stops, iterations, largest step in a log scale, and the half-width of the
+#: box around the null's log scale it stays in.
+_NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_STEP = 2.0
 _LOG_SCALE_BOX = 30.0
@@ -105,15 +107,9 @@ class ReturnSample:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fit settings: tol stops each profile Newton solve once its predicted
-    log-likelihood gain falls to tol or below."""
+    """Fit settings: demean subtracts the sample mean before fitting."""
 
-    tol: float = 1e-8
     demean: bool = False
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -204,50 +200,38 @@ class FitReport:
 def _loglik_terms(p: TwoPhaseParams, x: np.ndarray, t: float) -> np.ndarray:
     """Per-observation log density, evaluated in the log domain.
 
-    On each side of q the density is either a single scaled Gaussian or a sum
-    of two whose first exponent dominates, so the mixture term is a log1p of a
-    ratio that never exceeds one in magnitude.  Two forms avoid cancellation:
-    the single Gaussian's standardised distance (x - c q)/s_own,
-    c = 1 - s_own/s_other, is taken as (x - q)/s_own + q/s_other, and the
-    image exponent less the main one as z = 2q(x - q)/s^2 (<= 0 on that
-    side), not as a difference of two large exponents.
+    For q > 0 the identity l(sigma1, sigma2, q; x) = l(sigma2, sigma1, -q; -x)
+    maps the inputs to q <= 0.  There the side x < q is a single scaled
+    Gaussian and the side x >= q a sum of two whose first exponent dominates,
+    so the mixture term is a log1p of a ratio that never exceeds one in
+    magnitude.  Two forms avoid cancellation: the single Gaussian's
+    standardised distance (x - c q)/s2, c = 1 - s2/s1, is taken as
+    (x - q)/s2 + q/s1, and the image exponent less the main one as
+    z = 2q(x - q)/s1^2 (<= 0 on that side), not as a difference of two large
+    exponents.
     """
-    s1 = p.sigma1 * math.sqrt(t)
-    s2 = p.sigma2 * math.sqrt(t)
-    a1, a2, refl = _coeffs(p)
+    sigma1, sigma2, q = p.sigma1, p.sigma2, p.q
+    if q > 0:
+        sigma1, sigma2, q, x = sigma2, sigma1, -q, -x
+    _, a2, refl = _coeffs(sigma1, sigma2)
+    s1 = sigma1 * math.sqrt(t)
+    s2 = sigma2 * math.sqrt(t)
     out = np.empty_like(x)
-    if p.q > 0:
-        hi = x >= p.q
-        out[hi] = (
-            math.log(a1)
-            - 0.5 * ((x[hi] - p.q) / s1 + p.q / s2) ** 2
-            - math.log(s1)
-            - _LOG_SQRT_2PI
-        )
-        lo = ~hi
-        z = 2.0 * p.q * (x[lo] - p.q) / (s2 * s2)
-        out[lo] = (
-            -0.5 * (x[lo] / s2) ** 2
-            + np.log1p(refl * np.exp(z))
-            - math.log(s2)
-            - _LOG_SQRT_2PI
-        )
-    else:
-        lo = x < p.q
-        out[lo] = (
-            math.log(a2)
-            - 0.5 * ((x[lo] - p.q) / s2 + p.q / s1) ** 2
-            - math.log(s2)
-            - _LOG_SQRT_2PI
-        )
-        hi = ~lo
-        z = 2.0 * p.q * (x[hi] - p.q) / (s1 * s1)
-        out[hi] = (
-            -0.5 * (x[hi] / s1) ** 2
-            + np.log1p(-refl * np.exp(z))
-            - math.log(s1)
-            - _LOG_SQRT_2PI
-        )
+    lo = x < q
+    out[lo] = (
+        math.log(a2)
+        - 0.5 * ((x[lo] - q) / s2 + q / s1) ** 2
+        - math.log(s2)
+        - _LOG_SQRT_2PI
+    )
+    hi = ~lo
+    z = 2.0 * q * (x[hi] - q) / (s1 * s1)
+    out[hi] = (
+        -0.5 * (x[hi] / s1) ** 2
+        + np.log1p(-refl * np.exp(z))
+        - math.log(s1)
+        - _LOG_SQRT_2PI
+    )
     return out
 
 
@@ -361,7 +345,7 @@ def _profile_terms(split: tuple, a: float, b: float, work: np.ndarray) -> tuple:
     _, _, mixed, q, k, su, suu, m, syy = split
     s_mixed, s_single = math.exp(a), math.exp(b)
     ia, ib = 1.0 / s_mixed, 1.0 / s_single
-    amp_mixed, amp_single, refl = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
+    amp_mixed, amp_single, refl = _coeffs(s_mixed, s_single)
     rho = -refl
     r = 0.5 * amp_mixed * amp_single  # (1 - rho^2) / 2
     pi_k = 0.5 * amp_mixed * k  # k exp(a) / (exp(a) + exp(b))
@@ -429,7 +413,7 @@ def _profile_scores(
     a, b = (ab[1], ab[0]) if flip else ab
     s_mixed, s_single = math.exp(a), math.exp(b)
     ia, ib = 1.0 / s_mixed, 1.0 / s_single
-    amp_mixed, amp_single, refl = _coeffs(TwoPhaseParams(s_mixed, s_single, q))
+    amp_mixed, amp_single, refl = _coeffs(s_mixed, s_single)
     rho = -refl
     r = 0.5 * amp_mixed * amp_single
     pi = 0.5 * amp_mixed
@@ -476,7 +460,7 @@ def _profile_scores(
 
 def _profile_newton(
     x: np.ndarray, q: float, start: tuple[float, float], work: np.ndarray,
-    tol: float, lo: float, hi: float,
+    lo: float, hi: float,
 ) -> tuple:
     """Maximise the log-likelihood over both log scales at fixed q.
 
@@ -485,7 +469,7 @@ def _profile_newton(
     negative definite the step is the gradient over the sum of the Hessian's
     magnitudes.  Steps are capped at _NEWTON_MAX_STEP per log scale, kept in
     [lo, hi], and halved until the log-likelihood does not fall.  Stops once
-    the predicted gain is at most tol.
+    the predicted gain is at most _NEWTON_TOL.
 
     Returns (loglik, (log s1, log s2), iterations, converged, kernel calls).
     """
@@ -506,7 +490,7 @@ def _profile_newton(
             scale = abs(haa) + abs(hab) + abs(hbb) or 1.0
             da, db = ga / scale, gb / scale
             gain = ga * da + gb * db
-        if not gain > tol:
+        if not gain > _NEWTON_TOL:
             converged = True
             break
         step = max(abs(da), abs(db))
@@ -580,7 +564,7 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
 
     def profile(q, start):
         nonlocal n_evaluations, newton_iterations
-        f, ab, its, ok, calls = _profile_newton(x, q, start, work, cfg.tol, lo, hi)
+        f, ab, its, ok, calls = _profile_newton(x, q, start, work, lo, hi)
         n_evaluations += calls
         newton_iterations += its
         return f, ab, ok

@@ -130,10 +130,7 @@ def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSoluti
     """
     if not t_end > grid.t_warm:
         raise DomainError(f"t_end={t_end} must exceed t_warm={grid.t_warm}")
-    smax = max(sys.sigmas)
-    span = 8.0 * smax * math.sqrt(t_end)
-    lo_required = min((*sys.boundaries, 0.0)) - span
-    hi_required = max((*sys.boundaries, 0.0)) + span
+    lo_required, hi_required = _window(sys, t_end, 8.0)
     if grid.x_min > lo_required or grid.x_max < hi_required:
         raise DomainError(
             f"window [{grid.x_min}, {grid.x_max}] too narrow; need "
@@ -199,6 +196,14 @@ def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSoluti
     return solution
 
 
+def _window(sys: PhaseSystem, t: float, scales: float = 8.5) -> tuple[float, float]:
+    """[min(boundaries, 0), max(boundaries, 0)] widened on each side by scales
+    times max(sigma) sqrt(t): the window solve_for_system sizes (8.5 scales),
+    or the narrowest that solve_system accepts (8)."""
+    span = scales * max(sys.sigmas) * math.sqrt(t)
+    return min((*sys.boundaries, 0.0)) - span, max((*sys.boundaries, 0.0)) + span
+
+
 def solve_for_system(
     sys: PhaseSystem,
     t_end: float,
@@ -209,11 +214,7 @@ def solve_for_system(
     """solve_system with an automatically sized window for the given horizon."""
     if t_end <= t_warm:
         t_warm = t_end / 2.0
-    smax = max(sys.sigmas)
-    span = 8.5 * smax * math.sqrt(t_end)
-    lo = min((*sys.boundaries, 0.0)) - span
-    hi = max((*sys.boundaries, 0.0)) + span
-    grid = SolverGrid(x_min=lo, x_max=hi, nx=nx, dt=dt, t_warm=t_warm)
+    grid = SolverGrid(*_window(sys, t_end), nx=nx, dt=dt, t_warm=t_warm)
     return solve_system(sys, grid, t_end)
 
 
@@ -284,31 +285,21 @@ def verify_identity_A10(q: float, a2: float, t: float) -> tuple[float, float]:
     """Time integral of the one-sided heat-flux kernel vs its erfc closed form.
 
     lhs = integral_0^t exp(-q^2/(4 a2 tau)) tau^{-1/2} (t-tau)^{-1/2} dtau,
-    computed after the substitution tau = t sin^2(theta) which removes both
-    endpoint singularities; rhs = pi * erfc(|q| / (2 sqrt(a2 t))).
+    rhs = pi * erfc(|q| / (2 sqrt(a2 t))): the case alpha = 0,
+    beta = q/(2 sqrt(a2)) of verify_identity_A14, whose integrand it is.
     """
     if not (a2 > 0 and t > 0):
         raise DomainError(f"need a2 > 0 and t > 0, got a2={a2}, t={t}")
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
-
-    def integrand(theta: float) -> float:
-        sin_sq = math.sin(theta) ** 2
-        if sin_sq == 0.0:
-            return 0.0
-        return math.exp(-q * q / (4.0 * a2 * t * sin_sq))
-
-    value, _ = integrate_adaptive(integrand, 0.0, math.pi / 2.0, spec)
-    lhs = 2.0 * value
-    rhs = math.pi * float(erfc(abs(q) / (2.0 * math.sqrt(a2 * t))))
-    return lhs, rhs
+    return verify_identity_A14(0.0, q / (2.0 * math.sqrt(a2)), t)
 
 
 def verify_identity_A14(alpha: float, beta: float, t: float) -> tuple[float, float]:
     """Two-sided singular convolution integral vs its erfc closed form.
 
     lhs = integral_0^t exp(-alpha^2/(t-tau)) exp(-beta^2/tau)
-          tau^{-1/2} (t-tau)^{-1/2} dtau  (same sin^2 substitution);
-    rhs = pi * erfc((|alpha| + |beta|) / sqrt(t)).
+          tau^{-1/2} (t-tau)^{-1/2} dtau,
+    computed after the substitution tau = t sin^2(theta), which removes both
+    endpoint singularities; rhs = pi * erfc((|alpha| + |beta|) / sqrt(t)).
     """
     if not t > 0:
         raise DomainError(f"need t > 0, got {t}")

@@ -178,10 +178,9 @@ def _check_t(t: float) -> float:
     return float(t)
 
 
-def _coeffs(p: TwoPhaseParams):
-    """Two-phase constants of the log-domain likelihood: amplitudes and
-    reflection weight."""
-    s1, s2 = p.sigma1, p.sigma2
+def _coeffs(s1: float, s2: float) -> tuple[float, float, float]:
+    """Two-phase constants of the log-domain likelihood for the scales
+    (s1, s2): amplitudes and reflection weight."""
     a1 = 2.0 * s1 / (s1 + s2)
     a2 = 2.0 * s2 / (s1 + s2)
     refl = (s2 - s1) / (s1 + s2)

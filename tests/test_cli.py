@@ -128,6 +128,15 @@ class TestMomentsCommand:
         assert len(data) == 5
         assert {"mean", "variance", "skewness", "kurtosis"} <= set(header)
 
+    def test_two_phase_needs_q_or_grid(self):
+        # Neither or both of --q / --q-grid is a usage error, not a domain one.
+        base = ["moments", "--sigma1", "0.2", "--sigma2", "0.3", "--t", "1"]
+        for extra in ([], ["--q", "0.1", "--q-grid", "0:1:3"]):
+            status, out, err = invoke(base + extra)
+            assert status == 1
+            assert out == ""
+            assert "usage" in err.lower()
+
     def test_three_phase_matches_quadrature(self):
         status, out, _ = invoke(["moments", *THREE_FLAGS])
         assert status == 0
@@ -406,3 +415,46 @@ class TestJsonRoundTrip:
             status, out, _ = invoke(argv)
             assert status == 0
             json.loads(out)
+
+
+#: One quick invocation of every subcommand; {returns} is a CSV of returns.
+ECHO_CASES = {
+    "pdf": ["--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1", "--t", "1",
+            "--x-grid", "-1:1:5"],
+    "cdf": ["--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1", "--t", "1",
+            "--x-grid", "-1:1:5"],
+    "moments": ["--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1", "--t", "1"],
+    "sample": ["--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1", "--t", "1",
+               "--n", "8", "--seed", "1"],
+    "fit": ["--input", "{returns}"],
+    "price": ["--sigma1", "0.3", "--sigma2", "0.4", "--q", "-0.02", "--s", "100",
+              "--k", "80", "--r", "0.05", "--tau-days", "17"],
+    "surface": ["--sigma1", "0.3", "--sigma2", "0.4", "--q", "-0.02", "--s", "100",
+                "--r", "0.05", "--strikes", "90:100:10", "--taus", "17"],
+    "check-pde": ["--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1",
+                  "--nx", "201", "--dt", "1e-2"],
+    "check-ck": ["--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1",
+                 "--s-mid", "0.4", "--t", "1"],
+    "check-identities": ["--trials", "1", "--seed", "1"],
+}
+JSON_COMMANDS = {"fit", "price", "check-pde", "check-ck", "check-identities"}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_CASES))
+def test_config_echoed_exactly_once(command, tmp_path):
+    returns = tmp_path / "returns.csv"
+    gen = np.random.Generator(np.random.PCG64(4))
+    returns.write_text("\n".join(f"{v:.8f}" for v in gen.normal(0, 0.02, 200)))
+    argv = [command] + [a.format(returns=returns) for a in ECHO_CASES[command]]
+    status, out, err = invoke(argv)
+    assert status == 0
+    echoes = [line for line in err.splitlines() if line.startswith("config: ")]
+    if command in JSON_COMMANDS:
+        payload = json.loads(out)
+        assert next(iter(payload)) == "config"
+        assert payload["config"]["command"] == command
+        assert echoes == []
+    else:
+        assert len(echoes) == 1
+        assert json.loads(echoes[0][len("config: "):])["command"] == command
+        assert "config" not in out
