@@ -280,7 +280,7 @@ def _cmd_price(args, stderr) -> dict:
 def _cmd_surface(args, stderr) -> str:
     model = PricingModel(TwoPhaseParams(args.sigma1, args.sigma2, args.q))
     rows = surface(
-        model, list(np.asarray(args.strikes)), args.taus,
+        model, args.strikes.tolist(), args.taus,
         spot=args.s, rate=args.r, day_count=args.daycount,
     )
     buf = io.StringIO()

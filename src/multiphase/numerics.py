@@ -1,4 +1,4 @@
-"""Shared numerical primitives: normal CDF, erfc, quadrature, roots, Hessians, RNG.
+"""Shared numerical primitives: normal CDF, erfc, quadrature, Hessians, RNG.
 
 Everything here is a thin, contract-checked layer over scipy/numpy so that the
 rest of the package has a single place to look for tolerances and failure
@@ -11,19 +11,17 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 __all__ = [
     "QuadratureSpec",
     "RngState",
     "QuadratureError",
-    "BracketError",
     "HessianError",
     "std_normal_cdf",
     "erfc",
     "integrate_adaptive",
     "integrate_vector",
-    "find_root_bracketed",
     "numerical_hessian",
 ]
 
@@ -36,10 +34,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.err_est = err_est
-
-
-class BracketError(ValueError):
-    """Root bracket [lo, hi] does not straddle a sign change."""
 
 
 class HessianError(ValueError):
@@ -150,24 +144,6 @@ def integrate_vector(
     if not info.success:
         raise QuadratureError(info.message, best_estimate=values, err_est=err_est)
     return values, err_est, info.neval
-
-
-def find_root_bracketed(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    """Root of f on [lo, hi]; requires f(lo)*f(hi) <= 0 (BracketError otherwise)."""
-    if not lo < hi:
-        raise BracketError(f"need lo < hi, got [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"f({lo})={flo:g} and f({hi})={fhi:g} have the same sign"
-        )
-    return float(optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16))
 
 
 def numerical_hessian(

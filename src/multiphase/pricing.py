@@ -19,13 +19,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .numerics import (
-    BracketError,
-    QuadratureSpec,
-    find_root_bracketed,
-    integrate_adaptive,
-    std_normal_cdf,
-)
+from .numerics import QuadratureSpec, integrate_adaptive
 from .phase_kernel import DomainError, TwoPhaseParams, _mass, _pieces
 from .phase_kernel import two_phase_moments, two_phase_pdf
 
@@ -51,6 +45,8 @@ __all__ = [
 ]
 
 _DAY_COUNTS = (365, 252)
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class PricingError(RuntimeError):
@@ -230,16 +226,21 @@ def black_scholes_call(
     spot: float, strike: float, rate: float, sigma: float, tau: float
 ) -> float:
     """Standard Black-Scholes call; sigma = 0 degenerates to the forward payoff."""
+    discount = strike * math.exp(-rate * tau)
     if sigma == 0.0 or tau == 0.0:
-        return max(0.0, spot - strike * math.exp(-rate * tau))
+        return max(0.0, spot - discount)
     root_tau = math.sqrt(tau)
     d1 = (math.log(spot / strike) + (rate + 0.5 * sigma * sigma) * tau) / (
         sigma * root_tau
     )
-    d2 = d1 - sigma * root_tau
-    return float(
-        spot * std_normal_cdf(d1)
-        - strike * math.exp(-rate * tau) * std_normal_cdf(d2)
+    return _black_scholes(spot, discount, d1, sigma * root_tau)
+
+
+def _black_scholes(spot, discount, d1, sd, sign=1.0) -> float:
+    """The call S N(d1) - K e^{-r tau} N(d2), or for sign = -1 the put."""
+    return 0.5 * sign * (
+        spot * math.erfc(-sign * d1 * _SQRT_HALF)
+        - discount * math.erfc(-sign * (d1 - sd) * _SQRT_HALF)
     )
 
 
@@ -254,8 +255,11 @@ def implied_vol(
     """Black-Scholes volatility reproducing the given price.
 
     The target must lie strictly between the zero-vol intrinsic value and the
-    spot (the sigma -> 0 and sigma -> infinity limits); the recovered vol must
-    reprice within 1e-10 * spot.
+    spot (the sigma -> 0 and sigma -> infinity limits).  Newton's method in
+    sigma on the log price of the out-of-the-money option (Jaeckel 2006; the
+    put from parity when x = ln(S e^{r tau} / K) > 0), with steps that would
+    leave the sign bracket turned into bisections, must converge to a step of
+    at most 1e-13 * sigma and reprice within 1e-10 * spot, else PricingError.
     """
     lo, hi = bracket
     price_lo = black_scholes_call(spot, strike, rate, lo, tau)
@@ -265,12 +269,30 @@ def implied_vol(
             f"price {price!r} outside attainable range "
             f"({price_lo!r}, {price_hi!r}) for vol bracket {bracket}"
         )
-    vol = find_root_bracketed(
-        lambda s: black_scholes_call(spot, strike, rate, s, tau) - price,
-        lo,
-        hi,
-        tol=1e-13,
-    )
+    root_tau = math.sqrt(tau)
+    discount = strike * math.exp(-rate * tau)
+    x = math.log(spot / discount)
+    sign = 1.0 if x <= 0.0 else -1.0
+    target = math.log(price if x <= 0.0 else price - (spot - discount))
+    vol = 0.3 if lo < 0.3 < hi else 0.5 * (lo + hi)
+    for _ in range(100):
+        sd = vol * root_tau
+        d1 = x / sd + 0.5 * sd
+        otm = _black_scholes(spot, discount, d1, sd, sign)
+        vega = spot * root_tau * math.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+        gap = math.log(otm) - target if otm > 0.0 else -math.inf
+        if gap < 0.0:
+            lo = vol
+        elif gap > 0.0:
+            hi = vol
+        step = -gap * otm / vega if vega > 0.0 and otm > 0.0 else math.inf
+        if abs(step) > 1e-13 * vol and not lo < vol + step < hi:
+            step = 0.5 * (lo + hi) - vol
+        vol += step
+        if abs(step) <= 1e-13 * vol:
+            break
+    else:
+        raise PricingError(f"implied vol {vol!r} did not converge in 100 steps")
     repriced = black_scholes_call(spot, strike, rate, vol, tau)
     if abs(repriced - price) > 1e-10 * spot:
         raise PricingError(
@@ -297,7 +319,7 @@ def surface(
     """Implied-vol surface rows over a strike x maturity grid.
 
     The Gaussian pieces and Lambda are built once per maturity.  Per-cell
-    failures (price at a vol bound, bracket failure) are recorded in
+    failures (price at a vol bound, no convergence) are recorded in
     the row's note with implied_vol = nan; generation continues.
     """
     rows: list[SurfaceRow] = []
@@ -316,7 +338,7 @@ def surface(
             try:
                 vol = implied_vol(price, spot, strike, rate, terms_tau)
                 note = ""
-            except (VolBoundsError, BracketError, PricingError) as exc:
+            except (VolBoundsError, PricingError) as exc:
                 vol = float("nan")
                 note = f"{type(exc).__name__}: {exc}"
             rows.append(

@@ -246,6 +246,24 @@ class TestSurfaceCommand:
         for row in data:
             assert float(row[4]) == pytest.approx(0.3, abs=1e-8)
 
+    def test_notes_print_plain_strikes(self):
+        status, _, err = invoke(
+            [
+                "surface",
+                "--sigma1", "0.3",
+                "--sigma2", "0.4",
+                "--q", "-0.02",
+                "--s", "100",
+                "--r", "0.05",
+                "--strikes", "50:60:5",
+                "--taus", "1",
+            ]
+        )
+        assert status == 0
+        notes = [line for line in err.splitlines() if line.startswith("note:")]
+        assert notes
+        assert not any("np.float64" in note for note in notes)
+
     def test_output_file_atomic(self, tmp_path):
         target = tmp_path / "surface.csv"
         status, out, _ = invoke(

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiphase.numerics import (
-    BracketError,
     HessianError,
     QuadratureError,
     QuadratureSpec,
     RngState,
     erfc,
-    find_root_bracketed,
     integrate_adaptive,
     integrate_vector,
     numerical_hessian,
@@ -163,22 +161,6 @@ class TestIntegrateVector:
         assert excinfo.value.best_estimate.shape == (2,)
         assert np.all(np.isfinite(excinfo.value.best_estimate))
         assert excinfo.value.err_est > 0.0
-
-
-class TestFindRootBracketed:
-    def test_linear(self):
-        root = find_root_bracketed(lambda x: x - 2.0, 0.0, 5.0, tol=1e-12)
-        assert root == pytest.approx(2.0, abs=1e-12)
-
-    def test_normal_quantile(self):
-        root = find_root_bracketed(
-            lambda x: std_normal_cdf(x) - 0.975, 0.0, 4.0, tol=1e-10
-        )
-        assert root == pytest.approx(1.959964, abs=1e-6)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
-            find_root_bracketed(lambda x: x + 10.0, 0.0, 5.0, tol=1e-10)
 
 
 class TestNumericalHessian:

@@ -267,6 +267,43 @@ class TestImpliedVol:
         with pytest.raises(VolBoundsError):
             implied_vol(intrinsic, 100.0, 90.0, 0.05, tau)
 
+    @pytest.mark.parametrize("strike, expected", [(140.0, 0.300437), (160.0, 0.300313)])
+    def test_one_day_deep_out_of_the_money(self, strike, expected):
+        # Prices of 7.5e-103 and 8.4e-198: the 1e-10 * spot reprice bound
+        # passes any vol here, so only the iteration's own convergence
+        # guards the result.  Expected vols are mpmath bisections.
+        terms = OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=1)
+        price = price_call(TABLE_MODEL, terms)
+        vol = implied_vol(price, SPOT, strike, RATE, terms.tau)
+        assert vol == pytest.approx(expected, abs=1e-6)
+
+    def test_round_trip_over_seeded_grid(self):
+        rng = np.random.default_rng(20260)
+        recovered = 0
+        for _ in range(2000):
+            strike = SPOT * rng.uniform(0.5, 1.6)
+            tau = math.exp(rng.uniform(0.0, math.log(1825.0))) / 365.0
+            sigma = rng.uniform(0.05, 1.0)
+            price = black_scholes_call(SPOT, strike, RATE, sigma, tau)
+            root_tau = math.sqrt(tau)
+            sd = sigma * root_tau
+            d1 = (math.log(SPOT / strike) + RATE * tau) / sd + 0.5 * sd
+            vega = SPOT * root_tau * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+            # a rounding of the price moves the vol by under 1e-10 relative
+            well_conditioned = price * 2.2e-16 < 1e-10 * vega * sigma
+            try:
+                vol = implied_vol(price, SPOT, strike, RATE, tau)
+            except VolBoundsError:
+                # only a price rounded onto a vol bound may be refused
+                assert not well_conditioned
+                continue
+            reprice = black_scholes_call(SPOT, strike, RATE, vol, tau)
+            assert abs(reprice - price) <= 1e-10 * SPOT
+            if well_conditioned:
+                assert vol == pytest.approx(sigma, rel=1e-9)
+                recovered += 1
+        assert recovered > 1500
+
 
 class TestSurface:
     def test_reproduces_published_grid(self):
