@@ -26,7 +26,6 @@ from multiphase.phase_kernel import TwoPhaseParams
 from multiphase.pricing import (
     OptionTerms,
     PricingError,
-    PricingModel,
     VolBoundsError,
     implied_vol,
     price_call,
@@ -89,7 +88,7 @@ def main():
     pricing.math = counter
     try:
         for law in LAWS:
-            model = PricingModel(TwoPhaseParams(*law))
+            params = TwoPhaseParams(*law)
             for tau_days in TAUS_DAYS:
                 for strike in STRIKES:
                     cells += 1
@@ -97,7 +96,7 @@ def main():
                         spot=SPOT, strike=strike, rate=RATE, tau_days=tau_days
                     )
                     tau = terms.tau
-                    price = price_call(model, terms)
+                    price = price_call(params, terms)
                     before = counter.erfc_calls
                     try:
                         vol = implied_vol(price, SPOT, strike, RATE, tau)

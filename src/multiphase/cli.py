@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .numerics import QuadratureError, RngState
 from .phase_kernel import (
-    PhaseSystem,
     SeriesConsistencyError,
     ThreePhaseParams,
     TwoPhaseParams,
@@ -37,7 +36,6 @@ from .phase_kernel import (
     _pieces,
     density_grid,
     two_phase_sample,
-    write_density_csv,
 )
 from .pde_oracle import (
     SolverFailure,
@@ -49,11 +47,10 @@ from .pde_oracle import (
     verify_identity_A10,
     verify_identity_A14,
 )
-from .inference import FitConfig, NestingError, fit_two_phase, load_returns
+from .inference import NestingError, fit_two_phase, load_returns
 from .pricing import (
     OptionTerms,
     PricingError,
-    PricingModel,
     price_call_detail,
     surface,
     write_surface_csv,
@@ -169,7 +166,21 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _reject_other_model_flags(args) -> None:
+    """A flag of the model that --model did not choose is a usage error."""
+    if args.model == "two-phase":
+        other = {"--sigma3": args.sigma3, "--q1": args.q1, "--q2": args.q2}
+    else:
+        other = {"--q": args.q, "--q-grid": getattr(args, "q_grid", None)}
+    given = [flag for flag, value in other.items() if value is not None]
+    if given:
+        raise _UsageError(
+            f"{args.model} model does not take {', '.join(given)}", args._parser
+        )
+
+
 def _model_params(args) -> TwoPhaseParams | ThreePhaseParams:
+    _reject_other_model_flags(args)
     if args.model == "two-phase":
         if args.q is None:
             raise _UsageError("two-phase model requires --q", args._parser)
@@ -209,13 +220,9 @@ def _seed(args, stderr) -> int:
 
 
 def _cmd_pdf(args, stderr) -> str:
-    params = _model_params(args)
-    table = density_grid(
-        params, args.t, np.asarray(args.x_grid), include_normal=args.include_normal
-    )
-    buf = io.StringIO()
-    write_density_csv(table, buf)
-    return buf.getvalue()
+    return _csv(density_grid(
+        _model_params(args), args.t, args.x_grid, include_normal=args.include_normal
+    ))
 
 
 def _cmd_cdf(args, stderr) -> str:
@@ -229,6 +236,7 @@ def _cmd_moments(args, stderr) -> str:
         params = _model_params(args)
         columns, models = {"q1": [params.q1], "q2": [params.q2]}, [params]
     else:
+        _reject_other_model_flags(args)
         if (args.q is None) == (args.q_grid is None):
             raise _UsageError(
                 "two-phase moments need exactly one of --q / --q-grid", args._parser
@@ -252,18 +260,18 @@ def _cmd_sample(args, stderr) -> str:
 
 def _cmd_fit(args, stderr) -> dict:
     sample = load_returns(args.input, unit=args.unit, t=args.t)
-    report = fit_two_phase(sample, FitConfig(demean=args.demean))
+    report = fit_two_phase(sample, demean=args.demean)
     return {"report": report.to_json_dict()}
 
 
 def _cmd_price(args, stderr) -> dict:
-    model = PricingModel(TwoPhaseParams(args.sigma1, args.sigma2, args.q))
+    params = TwoPhaseParams(args.sigma1, args.sigma2, args.q)
     terms = OptionTerms(
         spot=args.s, strike=args.k, rate=args.r,
         tau_days=args.tau_days, tau_years=args.tau_years,
         day_count=args.daycount,
     )
-    detail = price_call_detail(model, terms)
+    detail = price_call_detail(params, terms)
     return {
         "inputs": {
             "sigma1": args.sigma1, "sigma2": args.sigma2, "q": args.q,
@@ -278,9 +286,9 @@ def _cmd_price(args, stderr) -> dict:
 
 
 def _cmd_surface(args, stderr) -> str:
-    model = PricingModel(TwoPhaseParams(args.sigma1, args.sigma2, args.q))
     rows = surface(
-        model, args.strikes.tolist(), args.taus,
+        TwoPhaseParams(args.sigma1, args.sigma2, args.q),
+        args.strikes.tolist(), args.taus,
         spot=args.s, rate=args.r, day_count=args.daycount,
     )
     buf = io.StringIO()
@@ -295,8 +303,7 @@ def _cmd_check_pde(args, stderr) -> dict:
     params = _model_params(args)
     reference = lambda x: _pdf(_pieces(params, args.t_end), x)
     solution = solve_for_system(
-        PhaseSystem(params.sigmas, params.boundaries), args.t_end,
-        nx=args.nx, dt=args.dt, t_warm=args.t_warm,
+        params, args.t_end, nx=args.nx, dt=args.dt, t_warm=args.t_warm
     )
     report = solution_report(solution, reference, window=(-args.window, args.window))
     report["pass"] = bool(report["sup_error_vs_closed_form"] <= args.tolerance)
@@ -318,6 +325,8 @@ def _cmd_check_ck(args, stderr) -> dict:
 
 
 def _cmd_check_identities(args, stderr) -> dict:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be >= 1, got {args.trials}", args._parser)
     gen = RngState(seed=_seed(args, stderr)).generator()
     worst_a10 = worst_a14 = 0.0
     for _ in range(args.trials):

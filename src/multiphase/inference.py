@@ -33,14 +33,13 @@ from scipy.optimize import minimize_scalar
 from scipy.optimize import minimize  # noqa: F401
 
 from .numerics import erfc, numerical_hessian  # noqa: F401
-from .phase_kernel import TwoPhaseParams, _coeffs
+from .phase_kernel import TwoPhaseParams
 
 __all__ = [
     "DegenerateSampleError",
     "NestingError",
     "IngestionError",
     "ReturnSample",
-    "FitConfig",
     "FitReport",
     "FitDiagnostics",
     "log_likelihood_two_phase",
@@ -86,7 +85,6 @@ class ReturnSample:
     values: np.ndarray
     t: float = 1.0
     unit: str = "fraction"
-    label: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float).ravel()
@@ -103,13 +101,6 @@ class ReturnSample:
     @property
     def size(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Fit settings: demean subtracts the sample mean before fitting."""
-
-    demean: bool = False
 
 
 @dataclass(frozen=True)
@@ -195,6 +186,15 @@ class FitReport:
             "n_evaluations": self.n_evaluations,
             "diagnostics": self.diagnostics.to_json_dict(),
         }
+
+
+def _coeffs(s1: float, s2: float) -> tuple[float, float, float]:
+    """Two-phase constants of the log-domain likelihood for the scales
+    (s1, s2): amplitudes and reflection weight."""
+    a1 = 2.0 * s1 / (s1 + s2)
+    a2 = 2.0 * s2 / (s1 + s2)
+    refl = (s2 - s1) / (s1 + s2)
+    return a1, a2, refl
 
 
 def _loglik_terms(p: TwoPhaseParams, x: np.ndarray, t: float) -> np.ndarray:
@@ -516,9 +516,9 @@ def _profile_newton(
     return f, ab, iterations, converged, calls
 
 
-def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitReport:
+def fit_two_phase(sample: ReturnSample, demean: bool = False) -> FitReport:
     """Fit (sigma1, sigma2, q) by maximum likelihood, profiled over q, and
-    test against the Gaussian null.
+    test against the Gaussian null; demean subtracts the sample mean first.
 
     At each fixed q the log-likelihood is maximised over (log sigma1,
     log sigma2) by _profile_newton.  The profile is taken on 49 sample
@@ -543,16 +543,14 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
     n_evaluations counts every pass of the kernel over it (_profile_split,
     _profile_terms and _profile_scores calls).
     """
-    cfg = config or FitConfig()
     if sample.size < 10:
         raise DegenerateSampleError(
             f"need at least 10 observations to fit, got {sample.size}"
         )
     x = np.sort(sample.values)
-    demeaned = cfg.demean
-    if demeaned:
+    if demean:
         x -= x.mean()
-    sample = ReturnSample(x, t=sample.t, unit=sample.unit, label=sample.label)
+    sample = ReturnSample(x, t=sample.t, unit=sample.unit)
 
     sigma_null, loglik_null = fit_normal_null(sample)
     se_sigma_null = sigma_null / math.sqrt(2.0 * sample.size)
@@ -648,7 +646,7 @@ def fit_two_phase(sample: ReturnSample, config: FitConfig | None = None) -> FitR
         sample_size=sample.size,
         converged=converged,
         unit=sample.unit,
-        demeaned=demeaned,
+        demeaned=demean,
         se_status=se_status,
         n_evaluations=n_evaluations,
         p_value_chi2=p_value_chi2,
@@ -667,7 +665,6 @@ def load_returns(
     source: str | TextIO,
     unit: str = "fraction",
     t: float = 1.0,
-    label: str | None = None,
 ) -> ReturnSample:
     """Read returns from CSV: one value column, or (date, value) pairs.
 
@@ -676,7 +673,7 @@ def load_returns(
     """
     if isinstance(source, str):
         with open(source, newline="") as fh:
-            return load_returns(fh, unit=unit, t=t, label=label or source)
+            return load_returns(fh, unit=unit, t=t)
     rows = list(csv.reader(source))
     values: list[float] = []
     bad: list[int] = []
@@ -705,4 +702,4 @@ def load_returns(
         )
     if not values:
         raise IngestionError("no numeric rows found")
-    return ReturnSample(np.array(values), t=t, unit=unit, label=label)
+    return ReturnSample(np.array(values), t=t, unit=unit)

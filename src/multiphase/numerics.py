@@ -14,7 +14,6 @@ import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "QuadratureSpec",
     "RngState",
     "QuadratureError",
     "HessianError",
@@ -38,25 +37,6 @@ class QuadratureError(RuntimeError):
 
 class HessianError(ValueError):
     """Objective returned a non-finite value during differencing."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive integration."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.rel_tol < 0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,22 +72,19 @@ def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
+    tol: float = 1e-10,
+    limit: int = 200,
 ) -> tuple[float, float]:
     """Adaptive quadrature of f over (a, b); endpoints may be +-inf.
 
+    tol is both the absolute and the relative tolerance, and limit the
+    subdivision budget; SciPy rejects tol <= 0 or limit < 1 with ValueError.
     Returns (value, error_estimate).  Integrable endpoint singularities of the
     1/sqrt kind are handled by the underlying subdivision+extrapolation rule.
     Raises QuadratureError (carrying the best estimate) on non-convergence.
     """
     out = integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=True,
+        f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=True
     )
     if len(out) >= 4:
         value, err_est = out[0], out[1]
@@ -120,26 +97,21 @@ def integrate_vector(
     f: Callable[[float], np.ndarray],
     a: float,
     b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
+    tol: float = 1e-10,
+    limit: int = 200,
     points: Sequence[float] = (),
 ) -> tuple[np.ndarray, float, int]:
     """Adaptive quadrature of a vector-valued f over [a, b], split at points.
 
     Every component shares one Gauss-Kronrod subdivision, refined until the
-    max-norm error estimate meets spec.  Returns (values, error_estimate,
-    integrand_calls).  Raises QuadratureError (carrying the best estimate) on
-    non-convergence.
+    max-norm error estimate meets tol, absolute and relative, within limit
+    subdivisions.  Returns (values, error_estimate, integrand_calls).  Raises
+    QuadratureError (carrying the best estimate) on non-convergence, which
+    includes tol <= 0 and limit < 1.
     """
     values, err_est, info = integrate.quad_vec(
-        f,
-        a,
-        b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        norm="max",
-        limit=spec.max_subdivisions,
-        points=points,
-        full_output=True,
+        f, a, b, epsabs=tol, epsrel=tol, norm="max", limit=limit,
+        points=points, full_output=True,
     )
     if not info.success:
         raise QuadratureError(info.message, best_estimate=values, err_est=err_est)

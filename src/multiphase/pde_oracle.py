@@ -16,12 +16,10 @@ from typing import Callable, TextIO
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-# integrate_adaptive and two_phase_pdf stay module attributes because
-# benchmark/tracing.py wraps them at these names.
-from .numerics import QuadratureSpec, erfc, integrate_adaptive, integrate_vector
+from .numerics import erfc, integrate_adaptive, integrate_vector
 from .phase_kernel import (
     DomainError,
-    PhaseSystem,
+    ModelLike,
     ThreePhaseParams,
     TwoPhaseParams,
     _csv,
@@ -114,8 +112,10 @@ def _implicit_solver(h: np.ndarray, conductance: np.ndarray, dt: float):
     return solve
 
 
-def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSolution:
+def solve_system(sys: ModelLike, grid: SolverGrid, t_end: float) -> GridSolution:
     """Finite-volume solve of the interface system from a point mass at 0.
+
+    sys is any model with sigmas (top-down) and boundaries (decreasing).
 
     Every boundary is a cell face: each phase interval, cut at the window
     ends, holds max(1, round(length / ((x_max - x_min) / nx))) uniform cells,
@@ -196,7 +196,7 @@ def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSoluti
     return solution
 
 
-def _window(sys: PhaseSystem, t: float, scales: float = 8.5) -> tuple[float, float]:
+def _window(sys: ModelLike, t: float, scales: float = 8.5) -> tuple[float, float]:
     """[min(boundaries, 0), max(boundaries, 0)] widened on each side by scales
     times max(sigma) sqrt(t): the window solve_for_system sizes (8.5 scales),
     or the narrowest that solve_system accepts (8)."""
@@ -205,7 +205,7 @@ def _window(sys: PhaseSystem, t: float, scales: float = 8.5) -> tuple[float, flo
 
 
 def solve_for_system(
-    sys: PhaseSystem,
+    sys: ModelLike,
     t_end: float,
     nx: int = 2001,
     dt: float = 1e-3,
@@ -270,7 +270,6 @@ def _semigroup(
     if panels > 50:
         raise DomainError(f"s={s}, t={t}: peaks {width:.3g} wide need "
                           f"{panels} quadrature panels, more than 50")
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=400)
     outer = _pieces(p, s)
 
     def integrand(y: float) -> np.ndarray:
@@ -278,7 +277,7 @@ def _semigroup(
         return _pdf(outer, y) * two_phase_pdf(inner, xs - y, t - s)
 
     points = (p.q, *np.linspace(y_lo, y_hi, panels + 1)[1:-1])
-    return integrate_vector(integrand, y_lo, y_hi, spec, points=points)
+    return integrate_vector(integrand, y_lo, y_hi, tol=1e-9, limit=400, points=points)
 
 
 def verify_identity_A10(q: float, a2: float, t: float) -> tuple[float, float]:
@@ -303,7 +302,6 @@ def verify_identity_A14(alpha: float, beta: float, t: float) -> tuple[float, flo
     """
     if not t > 0:
         raise DomainError(f"need t > 0, got {t}")
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
 
     def integrand(theta: float) -> float:
         sin_sq = math.sin(theta) ** 2
@@ -312,7 +310,7 @@ def verify_identity_A14(alpha: float, beta: float, t: float) -> tuple[float, flo
             return 0.0
         return math.exp(-alpha * alpha / (t * cos_sq) - beta * beta / (t * sin_sq))
 
-    value, _ = integrate_adaptive(integrand, 0.0, math.pi / 2.0, spec)
+    value, _ = integrate_adaptive(integrand, 0.0, math.pi / 2.0, tol=1e-12)
     lhs = 2.0 * value
     rhs = math.pi * float(erfc((abs(alpha) + abs(beta)) / math.sqrt(t)))
     return lhs, rhs

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "TwoPhaseParams",
     "ThreePhaseParams",
     "MomentSummary",
-    "DensityTable",
     "two_phase_pdf",
     "two_phase_cdf",
     "two_phase_moments",
@@ -39,7 +38,6 @@ __all__ = [
     "three_phase_pdf",
     "three_phase_pdf_branch",
     "density_grid",
-    "write_density_csv",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -176,15 +174,6 @@ def _check_t(t: float) -> float:
     if not 0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     return float(t)
-
-
-def _coeffs(s1: float, s2: float) -> tuple[float, float, float]:
-    """Two-phase constants of the log-domain likelihood for the scales
-    (s1, s2): amplitudes and reflection weight."""
-    a1 = 2.0 * s1 / (s1 + s2)
-    a2 = 2.0 * s2 / (s1 + s2)
-    refl = (s2 - s1) / (s1 + s2)
-    return a1, a2, refl
 
 
 #: A ray is split only while |w| exp(-E/2) exceeds this (see _gaussian_pieces):
@@ -481,15 +470,6 @@ def three_phase_pdf(p: ThreePhaseParams, x, t: float):
     return _checked(x, t, _pdf(_pieces(p, t), x))
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    """Grid evaluation of a density, optionally with a matched normal column."""
-
-    x: np.ndarray
-    density: np.ndarray
-    normal_density: np.ndarray | None
-
-
 ModelLike = Union[TwoPhaseParams, ThreePhaseParams, PhaseSystem]
 
 
@@ -498,8 +478,9 @@ def density_grid(
     t: float,
     x_grid: Sequence[float],
     include_normal: bool = False,
-) -> DensityTable:
-    """Densities over a grid of x values, in grid order.
+) -> dict[str, np.ndarray]:
+    """Densities over a grid of x values, in grid order, as the columns
+    {"x", "density"[, "normal_density"]} that _csv writes.
 
     Any model, of any number of phases and the source in any of them, is a
     sum of its Gaussian pieces (_gaussian_pieces, whose pruning bound holds
@@ -512,11 +493,11 @@ def density_grid(
     if x_arr.size == 0:
         raise DomainError("x_grid must be nonempty")
     phases = _pieces(model, t)
-    dens = _checked(x_arr, t, _pdf(phases, x_arr))
-    normal = None
+    columns = {"x": x_arr, "density": _checked(x_arr, t, _pdf(phases, x_arr))}
     if include_normal:
-        normal = _phase_sum(math.sqrt(_moments(phases).variance), [(1.0, 0.0)], x_arr)
-    return DensityTable(x=x_arr, density=dens, normal_density=normal)
+        scale = math.sqrt(_moments(phases).variance)
+        columns["normal_density"] = _phase_sum(scale, [(1.0, 0.0)], x_arr)
+    return columns
 
 
 def _format_sig12(value: float) -> str:
@@ -531,11 +512,3 @@ def _csv(columns: dict) -> str:
     lines = [",".join(columns)]
     lines += [",".join(map(_format_sig12, row)) for row in zip(*columns.values())]
     return "\n".join(lines) + "\n"
-
-
-def write_density_csv(table: DensityTable, stream: TextIO) -> None:
-    """Serialize a DensityTable: header x,density[,normal_density], 12 sig digits."""
-    columns = {"x": table.x, "density": table.density}
-    if table.normal_density is not None:
-        columns["normal_density"] = table.normal_density
-    stream.write(_csv(columns))

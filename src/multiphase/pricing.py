@@ -19,7 +19,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .numerics import QuadratureSpec, integrate_adaptive
+from .numerics import integrate_adaptive
 from .phase_kernel import DomainError, TwoPhaseParams, _mass, _pieces
 from .phase_kernel import two_phase_moments, two_phase_pdf
 
@@ -28,7 +28,6 @@ __all__ = [
     "InternalConsistencyError",
     "VolBoundsError",
     "OptionTerms",
-    "PricingModel",
     "PriceDetail",
     "SurfaceRow",
     "lambda_normalizer",
@@ -45,6 +44,9 @@ __all__ = [
 ]
 
 _DAY_COUNTS = (365, 252)
+#: implied_vol's volatility bracket; price_call_quadrature's tolerance.
+_VOL_BRACKET = (1e-6, 5.0)
+_QUAD_TOL = 1e-11
 _SQRT_HALF = math.sqrt(0.5)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -89,13 +91,6 @@ class OptionTerms:
         if self.tau_years is not None:
             return float(self.tau_years)
         return float(self.tau_days) / self.day_count
-
-
-@dataclass(frozen=True)
-class PricingModel:
-    """Two-phase return-law parameters in annualized units."""
-
-    params: TwoPhaseParams
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,7 @@ def _price_detail(phases, lam: float, q: float, terms: OptionTerms) -> PriceDeta
     )
 
 
-def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
+def price_call_detail(p: TwoPhaseParams, terms: OptionTerms) -> PriceDetail:
     """Closed-form call price with regime and drift diagnostics.
 
     price = S psi1 - K e^{-r tau} psi2, where psi1 = e^{(mu_bar - r) tau}
@@ -182,27 +177,23 @@ def price_call_detail(model: PricingModel, terms: OptionTerms) -> PriceDetail:
     The price must respect (S - K e^{-r tau})^+ <= price <= S; violations
     beyond 1e-10 * S raise, smaller ones are clamped.
     """
-    phases = _pieces(model.params, terms.tau)
+    phases = _pieces(p, terms.tau)
     lam = _tilted_sums(phases, -math.inf)[0]
-    return _price_detail(phases, lam, model.params.q, terms)
+    return _price_detail(phases, lam, p.q, terms)
 
 
-def price_call(model: PricingModel, terms: OptionTerms) -> float:
+def price_call(p: TwoPhaseParams, terms: OptionTerms) -> float:
     """Closed-form European call price (see price_call_detail)."""
-    return price_call_detail(model, terms).price
+    return price_call_detail(p, terms).price
 
 
-def price_call_quadrature(
-    model: PricingModel, terms: OptionTerms, spec: QuadratureSpec | None = None
-) -> float:
+def price_call_quadrature(p: TwoPhaseParams, terms: OptionTerms) -> float:
     """Oracle price: discounted payoff integrated against the exact density.
 
     Integrates (S e^{mu tau + z} - K) u(z, tau) from the exercise threshold
     z* = ln(K/S) - mu tau up to a far cut beyond both the density scale and
     the exponential payoff tilt; the kink at z = q is a quadrature breakpoint.
     """
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_subdivisions=200)
-    p = model.params
     spot, strike, rate, tau = terms.spot, terms.strike, terms.rate, terms.tau
     mu = drift_mu_bar(p, rate, tau)
     z_star = math.log(strike / spot) - mu * tau
@@ -217,7 +208,7 @@ def price_call_quadrature(
     points = [z for z in points if z_star <= z <= z_hi]
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
-        value, _ = integrate_adaptive(integrand, a, b, spec)
+        value, _ = integrate_adaptive(integrand, a, b, tol=_QUAD_TOL)
         total += value
     return math.exp(-rate * tau) * total
 
@@ -245,29 +236,25 @@ def _black_scholes(spot, discount, d1, sd, sign=1.0) -> float:
 
 
 def implied_vol(
-    price: float,
-    spot: float,
-    strike: float,
-    rate: float,
-    tau: float,
-    bracket: tuple[float, float] = (1e-6, 5.0),
+    price: float, spot: float, strike: float, rate: float, tau: float
 ) -> float:
     """Black-Scholes volatility reproducing the given price.
 
-    The target must lie strictly between the zero-vol intrinsic value and the
-    spot (the sigma -> 0 and sigma -> infinity limits).  Newton's method in
-    sigma on the log price of the out-of-the-money option (Jaeckel 2006; the
-    put from parity when x = ln(S e^{r tau} / K) > 0), with steps that would
-    leave the sign bracket turned into bisections, must converge to a step of
-    at most 1e-13 * sigma and reprice within 1e-10 * spot, else PricingError.
+    The target must lie strictly between the prices at the ends of
+    _VOL_BRACKET, near the zero-vol intrinsic value and the spot.  Newton's
+    method in sigma on the log price of the out-of-the-money option (Jaeckel
+    2006; the put from parity when x = ln(S e^{r tau} / K) > 0), with steps
+    that would leave the sign bracket turned into bisections, must converge to
+    a step of at most 1e-13 * sigma and reprice within 1e-10 * spot, else
+    PricingError.
     """
-    lo, hi = bracket
+    lo, hi = _VOL_BRACKET
     price_lo = black_scholes_call(spot, strike, rate, lo, tau)
     price_hi = black_scholes_call(spot, strike, rate, hi, tau)
     if not price_lo < price < price_hi:
         raise VolBoundsError(
             f"price {price!r} outside attainable range "
-            f"({price_lo!r}, {price_hi!r}) for vol bracket {bracket}"
+            f"({price_lo!r}, {price_hi!r}) for vol bracket {_VOL_BRACKET}"
         )
     root_tau = math.sqrt(tau)
     discount = strike * math.exp(-rate * tau)
@@ -309,7 +296,7 @@ def commensurate_volatility(p: TwoPhaseParams, tau: float) -> float:
 
 
 def surface(
-    model: PricingModel,
+    p: TwoPhaseParams,
     strikes: Sequence[float],
     taus_days: Sequence[float],
     spot: float,
@@ -325,15 +312,15 @@ def surface(
     rows: list[SurfaceRow] = []
     for tau_days in taus_days:
         terms_tau = tau_days / day_count
-        phases = _pieces(model.params, terms_tau)
+        phases = _pieces(p, terms_tau)
         lam = _tilted_sums(phases, -math.inf)[0]
-        sigma_ref = commensurate_volatility(model.params, terms_tau)
+        sigma_ref = commensurate_volatility(p, terms_tau)
         for strike in strikes:
             terms = OptionTerms(
                 spot=spot, strike=strike, rate=rate,
                 tau_days=tau_days, day_count=day_count,
             )
-            price = _price_detail(phases, lam, model.params.q, terms).price
+            price = _price_detail(phases, lam, p.q, terms).price
             bs_ref = black_scholes_call(spot, strike, rate, sigma_ref, terms_tau)
             try:
                 vol = implied_vol(price, spot, strike, rate, terms_tau)

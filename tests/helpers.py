@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from multiphase.numerics import QuadratureSpec, integrate_adaptive
+from multiphase.numerics import integrate_adaptive
 from multiphase.phase_kernel import (
     ThreePhaseParams,
     TwoPhaseParams,
@@ -49,11 +49,12 @@ def normalization_error(p: TwoPhaseParams, t: float) -> float:
     lo = min(p.q, 0.0) - 12.0 * scale
     hi = max(p.q, 0.0) + 12.0 * scale
     breaks = sorted({lo, min(max(p.q, lo), hi), min(max(0.0, lo), hi), hi})
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b > a:
-            value, _ = integrate_adaptive(lambda x: two_phase_pdf(p, x, t), a, b, spec)
+            value, _ = integrate_adaptive(
+                lambda x: two_phase_pdf(p, x, t), a, b, tol=1e-12
+            )
             total += value
     return abs(total - 1.0)
 
@@ -153,9 +154,8 @@ def three_phase_quadrature_cdf(p: ThreePhaseParams, x: float, t: float) -> float
     split at the kinks q2 and q1 and at the source."""
     lo = p.q2 - 12.0 * max(p.sigma1, p.sigma2, p.sigma3) * math.sqrt(t)
     breaks = [lo] + sorted(b for b in (p.q2, 0.0, p.q1) if lo < b < x) + [x]
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
     return sum(
-        integrate_adaptive(lambda y: three_phase_pdf(p, y, t), a, b, spec)[0]
+        integrate_adaptive(lambda y: three_phase_pdf(p, y, t), a, b, tol=1e-13)[0]
         for a, b in zip(breaks[:-1], breaks[1:])
     )
 
@@ -199,7 +199,6 @@ def semigroup_scalar(p: TwoPhaseParams, s: float, t: float, x: float) -> float:
     smax = max(p.sigma1, p.sigma2)
     y_lo = min(p.q, 0.0) - 13.0 * smax * math.sqrt(s)
     y_hi = max(p.q, 0.0) + 13.0 * smax * math.sqrt(s)
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9, max_subdivisions=200)
     outer = _pieces(p, s)
 
     def integrand(y: float) -> float:
@@ -208,7 +207,7 @@ def semigroup_scalar(p: TwoPhaseParams, s: float, t: float, x: float) -> float:
 
     breaks = [y_lo] + sorted(b for b in {p.q, x} if y_lo < b < y_hi) + [y_hi]
     return sum(
-        integrate_adaptive(integrand, a, b, spec)[0]
+        integrate_adaptive(integrand, a, b, tol=1e-9)[0]
         for a, b in zip(breaks[:-1], breaks[1:])
     )
 
@@ -236,9 +235,11 @@ def batch_moments(draws: np.ndarray, n_batches: int = 100):
 
     def skew_kurt(x):
         centered = x - x.mean(axis=-1, keepdims=True)
-        m2 = np.mean(centered**2, axis=-1)
-        m3 = np.mean(centered**3, axis=-1)
-        m4 = np.mean(centered**4, axis=-1)
+        # Products: numpy takes ** 3 and ** 4 through the general pow, ~9x slower.
+        c2 = centered * centered
+        m2 = np.mean(c2, axis=-1)
+        m3 = np.mean(c2 * centered, axis=-1)
+        m4 = np.mean(c2 * c2, axis=-1)
         return m3 / m2**1.5, m4 / m2**2
 
     skew, kurt = skew_kurt(draws)

@@ -46,7 +46,6 @@ from multiphase.phase_kernel import (
 )
 from multiphase.pricing import (
     OptionTerms,
-    PricingModel,
     black_scholes_call,
     drift_mu_bar,
     price_call,
@@ -56,7 +55,6 @@ from multiphase.pricing import (
 )
 
 TABLE_PARAMS = TwoPhaseParams(0.3, 0.4, -0.02)
-TABLE_MODEL = PricingModel(TABLE_PARAMS)
 CANONICAL = TwoPhaseParams(0.2, 0.3, -0.1)
 THREE_CANONICAL = ThreePhaseParams(0.2, 0.3, 0.25, 0.4, -0.3)
 SPOT, RATE = 100.0, 0.05
@@ -65,7 +63,7 @@ SPOT, RATE = 100.0, 0.05
 def test_criterion_1_published_price_grid():
     """48 call prices reproduce the published grid within +-0.001 in < 1 s."""
     start = time.perf_counter()
-    rows = surface(TABLE_MODEL, TABLE_STRIKES, TABLE_TAUS_DAYS, spot=SPOT, rate=RATE)
+    rows = surface(TABLE_PARAMS, TABLE_STRIKES, TABLE_TAUS_DAYS, spot=SPOT, rate=RATE)
     elapsed = time.perf_counter() - start
     assert len(rows) == 48
     for row in rows:
@@ -175,9 +173,9 @@ def test_criterion_5_integral_identities_and_fluxes():
 def test_criterion_6_pricing_consistency():
     """Closed form vs quadrature <= 1e-6 over all four regimes; Gaussian
     reduction <= 1e-10; martingale <= 1e-8; seam continuity <= 1e-6."""
-    mirror_model = PricingModel(TwoPhaseParams(0.3, 0.4, 0.02))
+    mirror = TwoPhaseParams(0.3, 0.4, 0.02)
     seen = set()
-    for model in (TABLE_MODEL, mirror_model):
+    for model in (TABLE_PARAMS, mirror):
         for strike in np.linspace(70.0, 130.0, 10):
             for tau_days in np.linspace(10.0, 400.0, 10):
                 terms = OptionTerms(
@@ -193,26 +191,26 @@ def test_criterion_6_pricing_consistency():
                 )
     assert seen == {1, 2, 3, 4}
 
-    flat = PricingModel(TwoPhaseParams(0.3, 0.3, -0.02))
+    flat = TwoPhaseParams(0.3, 0.3, -0.02)
     for tau_days in TABLE_TAUS_DAYS:
         for strike in TABLE_STRIKES:
             terms = OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=tau_days)
             bs = black_scholes_call(SPOT, strike, RATE, 0.3, tau_days / 365.0)
             assert price_call(flat, terms) == pytest.approx(bs, abs=1e-10)
 
-    from multiphase.numerics import QuadratureSpec, integrate_adaptive
+    from multiphase.numerics import integrate_adaptive
 
     for tau_days in (17, 80, 318):
         tau = tau_days / 365.0
         mu_bar = drift_mu_bar(TABLE_PARAMS, RATE, tau)
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
         smax = 0.4 * math.sqrt(tau)
         lo = TABLE_PARAMS.q - 14.0 * smax
         hi = smax * smax + 14.0 * smax
         forward = 0.0
         for a, b in zip((lo, TABLE_PARAMS.q, 0.0), (TABLE_PARAMS.q, 0.0, hi)):
             value, _ = integrate_adaptive(
-                lambda z: math.exp(z) * two_phase_pdf(TABLE_PARAMS, z, tau), a, b, spec
+                lambda z: math.exp(z) * two_phase_pdf(TABLE_PARAMS, z, tau),
+                a, b, tol=1e-12,
             )
             forward += value
         martingale_error = abs(
@@ -220,11 +218,11 @@ def test_criterion_6_pricing_consistency():
         )
         assert martingale_error <= 1e-8
 
-    for model in (TABLE_MODEL, mirror_model):
-        q = model.params.q
+    for model in (TABLE_PARAMS, mirror):
+        q = model.q
         for i in range(50):
             tau = (10.0 + 6.0 * i) / 365.0
-            mu_bar = drift_mu_bar(model.params, RATE, tau)
+            mu_bar = drift_mu_bar(model, RATE, tau)
             seam_strike = SPOT * math.exp(q + mu_bar * tau)
             eps = 1e-9 * seam_strike
             lo = price_call(

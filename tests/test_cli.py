@@ -80,6 +80,17 @@ class TestPdfCommand:
         assert status == 1
         assert "usage" in err.lower()
 
+    def test_other_model_flags_rejected(self):
+        # A flag of the model not chosen is a usage error, not silently dropped.
+        two = ["pdf", "--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1",
+               "--t", "1", "--x-grid", "-1:1:11"]
+        for argv in (two + ["--q1", "5"], two + ["--sigma3", "0.25", "--q2", "-0.3"],
+                     ["pdf", *THREE_FLAGS, "--q", "0.1", "--x-grid", "-1:1:11"]):
+            status, out, err = invoke(argv)
+            assert status == 1
+            assert out == ""
+            assert "does not take" in err and "usage" in err.lower()
+
 
 class TestCdfCommand:
     def test_monotone_column(self):
@@ -136,6 +147,19 @@ class TestMomentsCommand:
             assert status == 1
             assert out == ""
             assert "usage" in err.lower()
+
+    def test_other_model_flags_rejected(self):
+        two = ["moments", "--sigma1", "0.2", "--sigma2", "0.3", "--t", "1",
+               "--q-grid", "-1:1:3"]
+        for argv, flag in (
+            (["moments", *THREE_FLAGS, "--q-grid", "-1:1:3"], "--q-grid"),
+            (["moments", *THREE_FLAGS, "--q", "0.1"], "--q"),
+            (two + ["--sigma3", "0.25"], "--sigma3"),
+        ):
+            status, out, err = invoke(argv)
+            assert status == 1
+            assert out == ""
+            assert f"does not take {flag}" in err
 
     def test_three_phase_matches_quadrature(self):
         status, out, _ = invoke(["moments", *THREE_FLAGS])
@@ -358,6 +382,14 @@ class TestCheckCommands:
         assert payload["pass"] is True
         assert payload["worst_abs_error_A10"] <= 1e-7
         assert payload["worst_abs_error_A14"] <= 1e-7
+
+    def test_check_identities_needs_a_trial(self):
+        # Zero or negative trials check nothing, so they cannot pass.
+        for trials in ("0", "-5"):
+            status, out, err = invoke(["check-identities", "--trials", trials])
+            assert status == 1
+            assert out == ""
+            assert "--trials must be >= 1" in err
 
 
 class TestExitDiscipline:

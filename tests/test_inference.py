@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import multiphase.inference as inference
 from multiphase.inference import (
     DegenerateSampleError,
-    FitConfig,
     IngestionError,
     NestingError,
     ReturnSample,
@@ -56,7 +55,7 @@ class TestReturnSample:
             ReturnSample(np.array([0.1]), t=0.0)
 
     def test_fields(self):
-        sample = ReturnSample(np.array([0.1, -0.2]), t=2.0, unit="percent", label="x")
+        sample = ReturnSample(np.array([0.1, -0.2]), t=2.0, unit="percent")
         assert sample.size == 2
         assert sample.unit == "percent"
 
@@ -409,8 +408,8 @@ class TestFitTwoPhase:
             TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 2000, RngState(seed=55)
         )
         sample = ReturnSample(draws)
-        a = fit_two_phase(sample, FitConfig())
-        b = fit_two_phase(sample, FitConfig())
+        a = fit_two_phase(sample)
+        b = fit_two_phase(sample)
         assert a == b
 
     def test_permuted_sample_gives_identical_report(self):
@@ -418,9 +417,9 @@ class TestFitTwoPhase:
             TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 2000, RngState(seed=55)
         )
         permuted = RngState(seed=56).generator().permutation(draws)
-        for config in (FitConfig(), FitConfig(demean=True)):
-            assert fit_two_phase(ReturnSample(draws), config) == fit_two_phase(
-                ReturnSample(permuted), config
+        for demean in (False, True):
+            assert fit_two_phase(ReturnSample(draws), demean=demean) == fit_two_phase(
+                ReturnSample(permuted), demean=demean
             )
 
     def test_n_evaluations_counts_objective_calls(self, monkeypatch):
@@ -562,7 +561,7 @@ class TestFitTwoPhase:
     def test_demean_flag(self):
         gen = RngState(seed=8).generator()
         x = gen.normal(0.003, 0.02, size=500)
-        report = fit_two_phase(ReturnSample(x), FitConfig(demean=True))
+        report = fit_two_phase(ReturnSample(x), demean=True)
         assert report.demeaned
         assert report.converged
 
@@ -631,9 +630,6 @@ class TestLoadReturns:
             load_returns(io.StringIO("a,b,c\n1,2,3\n"))
 
     def test_unit_and_horizon_recorded(self):
-        sample = load_returns(
-            io.StringIO("1.2\n-0.8\n"), unit="percent", t=0.5, label="weekly"
-        )
+        sample = load_returns(io.StringIO("1.2\n-0.8\n"), unit="percent", t=0.5)
         assert sample.unit == "percent"
         assert sample.t == 0.5
-        assert sample.label == "weekly"

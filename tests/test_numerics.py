@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from multiphase.numerics import (
     HessianError,
     QuadratureError,
-    QuadratureSpec,
     RngState,
     erfc,
     integrate_adaptive,
@@ -60,7 +59,7 @@ class TestErfc:
 
 class TestIntegrateAdaptive:
     def test_polynomial(self):
-        value, err = integrate_adaptive(lambda x: x * x, 0.0, 1.0, QuadratureSpec())
+        value, err = integrate_adaptive(lambda x: x * x, 0.0, 1.0)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert err >= 0.0
 
@@ -69,7 +68,7 @@ class TestIntegrateAdaptive:
             lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
             -np.inf,
             np.inf,
-            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+            tol=1e-12,
         )
         assert value == pytest.approx(1.0, abs=1e-10)
 
@@ -79,15 +78,14 @@ class TestIntegrateAdaptive:
             lambda tau: tau ** -0.5 * (t - tau) ** -0.5,
             0.0,
             t,
-            QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=200),
+            tol=1e-10,
         )
         assert value == pytest.approx(math.pi, abs=1e-8)
 
     def test_failure_carries_best_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
         with pytest.raises(QuadratureError) as excinfo:
             integrate_adaptive(
-                lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0, spec
+                lambda x: math.sin(1.0 / (x + 1e-3)), 0.0, 1.0, tol=1e-15, limit=1
             )
         assert math.isfinite(excinfo.value.best_estimate)
 
@@ -108,21 +106,21 @@ class TestIntegrateAdaptive:
 
             errors = []
             for subdivisions in (25, 50, 100):
-                spec = QuadratureSpec(
-                    abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=subdivisions
+                value, _ = integrate_adaptive(
+                    integrand, 0.0, math.pi / 2.0, tol=1e-13, limit=subdivisions
                 )
-                value, _ = integrate_adaptive(integrand, 0.0, math.pi / 2.0, spec)
                 errors.append(abs(2.0 * value - exact))
             assert errors[1] <= errors[0] + 1e-14
             assert errors[2] <= errors[1] + 1e-14
 
-    def test_spec_validation(self):
+    def test_settings_validation(self):
+        square = lambda x: x * x
         with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
+            integrate_adaptive(square, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=-1.0)
+            integrate_adaptive(square, 0.0, 1.0, tol=-1.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+            integrate_adaptive(square, 0.0, 1.0, limit=0)
 
 
 class TestIntegrateVector:
@@ -131,7 +129,7 @@ class TestIntegrateVector:
             lambda x: np.array([x * x, math.exp(x), math.cos(x)]),
             0.0,
             1.0,
-            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+            tol=1e-12,
         )
         expected = [1.0 / 3.0, math.e - 1.0, math.sin(1.0)]
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
@@ -144,7 +142,7 @@ class TestIntegrateVector:
             lambda x: np.array([abs(x - 0.3), math.exp(-0.5 * x * x)]),
             -1.0,
             1.0,
-            QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
+            tol=1e-12,
             points=(0.3,),
         )
         gaussian = math.sqrt(2.0 * math.pi) * (1.0 - erfc(math.sqrt(0.5)))
@@ -153,14 +151,21 @@ class TestIntegrateVector:
         )
 
     def test_failure_carries_best_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
         with pytest.raises(QuadratureError) as excinfo:
             integrate_vector(
-                lambda x: np.array([math.sin(1.0 / (x + 1e-3)), x]), 0.0, 1.0, spec
+                lambda x: np.array([math.sin(1.0 / (x + 1e-3)), x]),
+                0.0, 1.0, tol=1e-15, limit=3,
             )
         assert excinfo.value.best_estimate.shape == (2,)
         assert np.all(np.isfinite(excinfo.value.best_estimate))
         assert excinfo.value.err_est > 0.0
+
+    def test_settings_validation(self):
+        pair = lambda x: np.array([x, x * x])
+        with pytest.raises(QuadratureError):
+            integrate_vector(pair, 0.0, 1.0, tol=0.0)
+        with pytest.raises(QuadratureError):
+            integrate_vector(pair, 0.0, 1.0, limit=0)
 
 
 class TestNumericalHessian:
@@ -193,7 +198,6 @@ class TestNumericalHessian:
         # data points), so the stencil must stay inside the gap around q-hat;
         # the guard below checks the chosen sample leaves enough room.
         from multiphase.inference import (
-            FitConfig,
             ReturnSample,
             fit_two_phase,
             log_likelihood_two_phase,
@@ -204,7 +208,7 @@ class TestNumericalHessian:
             TwoPhaseParams(0.01, 0.035, -0.02), 1.0, 300, RngState(seed=20)
         )
         sample = ReturnSample(draws)
-        report = fit_two_phase(sample, FitConfig())
+        report = fit_two_phase(sample)
         assert report.converged
         gap = np.min(np.abs(draws - report.q_hat))
         assert gap > 8e-5  # stencil half-width below is 4e-5

@@ -24,7 +24,7 @@ from helpers import (
     three_phase_normalization_error,
     three_phase_quadrature_moments,
 )
-from multiphase.numerics import QuadratureSpec, RngState, integrate_adaptive
+from multiphase.numerics import RngState, integrate_adaptive
 from multiphase.phase_kernel import (
     DomainError,
     PhaseSystem,
@@ -38,8 +38,8 @@ from multiphase.phase_kernel import (
     two_phase_moments,
     two_phase_pdf,
     two_phase_sample,
-    write_density_csv,
     _cdf,
+    _csv,
     _gaussian_pieces,
     _moments,
     _pdf,
@@ -71,12 +71,11 @@ def quadrature_moments(p, t):
     for u in sorted({min(u_q, 0.0) - 12.0, u_q, 0.0, max(u_q, 0.0) + 12.0}):
         if not breaks or u - breaks[-1] > 1e-8:
             breaks.append(u)
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=200)
 
     def integral(g):
         integrand = lambda u: g(u) * s * two_phase_pdf(p, s * u, t)
         return sum(
-            integrate_adaptive(integrand, a, b, spec)[0]
+            integrate_adaptive(integrand, a, b, tol=1e-13)[0]
             for a, b in zip(breaks[:-1], breaks[1:])
         )
 
@@ -204,13 +203,12 @@ class TestTwoPhaseCdf:
         assert two_phase_cdf(p, x, t) >= 1.0 - 1e-8
 
     def test_matches_quadrature_of_pdf(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
         lo = -12.0 * 0.3 - 0.1
         part1, _ = integrate_adaptive(
-            lambda x: two_phase_pdf(CANONICAL, x, 1.0), lo, CANONICAL.q, spec
+            lambda x: two_phase_pdf(CANONICAL, x, 1.0), lo, CANONICAL.q, tol=1e-12
         )
         part2, _ = integrate_adaptive(
-            lambda x: two_phase_pdf(CANONICAL, x, 1.0), CANONICAL.q, 0.0, spec
+            lambda x: two_phase_pdf(CANONICAL, x, 1.0), CANONICAL.q, 0.0, tol=1e-12
         )
         assert two_phase_cdf(CANONICAL, 0.0, 1.0) == pytest.approx(
             part1 + part2, abs=1e-8
@@ -380,11 +378,10 @@ class TestThreePhase:
         # The narrow point is where the series as published dives to -1.23.
         scale = max(p.sigma1, p.sigma2, p.sigma3)
         lo, hi = p.q2 - 12.0 * scale, p.q1 + 12.0 * scale
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10, max_subdivisions=200)
         total = 0.0
         for a, b in zip([lo, p.q2, 0.0, p.q1], [p.q2, 0.0, p.q1, hi]):
             value, _ = integrate_adaptive(
-                lambda x: three_phase_pdf(p, x, 1.0), a, b, spec
+                lambda x: three_phase_pdf(p, x, 1.0), a, b, tol=1e-10
             )
             total += value
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -412,28 +409,29 @@ class TestThreePhase:
                 expected = [0.3, 0.3, 0.3, 0.3, 0.0]
                 assert list(three_phase_pdf(THREE_CANONICAL, xs, 1.0)) == expected
                 assert three_phase_pdf(THREE_CANONICAL, 0.75, 1.0) == 0.0
-                assert list(density_grid(THREE_CANONICAL, 1.0, xs).density) == expected
+                table = density_grid(THREE_CANONICAL, 1.0, xs)
+                assert list(table["density"]) == expected
 
 
 class TestDensityGrid:
     def test_rows_match_pdf(self):
         xs = np.linspace(-1.0, 1.0, 401)
         table = density_grid(CANONICAL, 1.0, xs)
-        assert table.x.size == 401
-        for x, value in zip(table.x, table.density):
+        assert table["x"].size == 401
+        for x, value in zip(table["x"], table["density"]):
             assert value == pytest.approx(two_phase_pdf(CANONICAL, x, 1.0), rel=1e-13)
 
     def test_normal_column_matches_when_sigmas_equal(self):
         p = TwoPhaseParams(0.25, 0.25, -0.3)
         xs = np.linspace(-1.0, 1.0, 101)
         table = density_grid(p, 1.0, xs, include_normal=True)
-        assert np.max(np.abs(table.density - table.normal_density)) <= 1e-12
+        assert np.max(np.abs(table["density"] - table["normal_density"])) <= 1e-12
 
     def test_riemann_mass(self):
         scale = 12.0 * 0.3
         xs = np.linspace(-scale - 0.1, scale, 4001)
         table = density_grid(CANONICAL, 1.0, xs)
-        mass = np.sum(table.density) * (xs[1] - xs[0])
+        mass = np.sum(table["density"]) * (xs[1] - xs[0])
         assert mass == pytest.approx(1.0, abs=1e-4)
 
     def test_generic_system_flagged_numerical(self):
@@ -442,7 +440,7 @@ class TestDensityGrid:
         )
         xs = np.linspace(-0.8, 0.8, 41)
         table = density_grid(sys_, 0.5, xs)
-        assert np.all(table.density >= -1e-10)
+        assert np.all(table["density"] >= -1e-10)
 
     @pytest.mark.parametrize("sys_", [
         PhaseSystem(sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)),
@@ -462,7 +460,8 @@ class TestDensityGrid:
 
         monkeypatch.setattr(pde_oracle, "solve_system", refuse)
         table = density_grid(sys_, 0.5, solution.x)
-        rel = np.max(np.abs(table.density - solution.values)) / np.max(table.density)
+        density = table["density"]
+        rel = np.max(np.abs(density - solution.values)) / np.max(density)
         assert rel <= 1e-3
 
     def test_three_phase_outer_source_closed_form(self):
@@ -471,7 +470,8 @@ class TestDensityGrid:
         sys_ = PhaseSystem(sigmas=(0.2, 0.3, 0.25), boundaries=(-0.2, -0.5))
         solution = solve_for_system(sys_, 0.5)
         table = density_grid(sys_, 0.5, solution.x)
-        rel = np.max(np.abs(table.density - solution.values)) / np.max(table.density)
+        density = table["density"]
+        rel = np.max(np.abs(density - solution.values)) / np.max(density)
         assert rel <= 1e-3
 
     def test_generic_system_normal_column_variance(self):
@@ -483,7 +483,7 @@ class TestDensityGrid:
             sigmas=(0.2, 0.3, 0.25, 0.35), boundaries=(0.5, 0.2, -0.4)
         )
         table = density_grid(sys_, 0.5, [0.0], include_normal=True)
-        variance = 1.0 / (2.0 * math.pi * table.normal_density[0] ** 2)
+        variance = 1.0 / (2.0 * math.pi * table["normal_density"][0] ** 2)
         solution = solve_for_system(sys_, 0.5)
         x, u = solution.x, solution.values
         mass = np.trapezoid(u, x)
@@ -494,13 +494,11 @@ class TestDensityGrid:
     def test_csv_serialization(self):
         xs = np.linspace(-0.5, 0.5, 11)
         table = density_grid(CANONICAL, 1.0, xs, include_normal=True)
-        buffer = io.StringIO()
-        write_density_csv(table, buffer)
-        rows = list(csv.reader(io.StringIO(buffer.getvalue())))
+        rows = list(csv.reader(io.StringIO(_csv(table))))
         assert rows[0] == ["x", "density", "normal_density"]
         assert len(rows) == 12
         parsed = float(rows[1][1])
-        assert parsed == pytest.approx(table.density[0], rel=1e-11)
+        assert parsed == pytest.approx(table["density"][0], rel=1e-11)
 
 
 @pytest.mark.parametrize("n_phases", [3, 4, 5])

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import TABLE_CALLS, TABLE_STRIKES, TABLE_TAUS_DAYS
-from multiphase.numerics import QuadratureSpec, integrate_adaptive
+from multiphase.numerics import integrate_adaptive
 from multiphase.phase_kernel import TwoPhaseParams, two_phase_pdf
 from multiphase.pricing import (
     OptionTerms,
-    PricingModel,
     SurfaceRow,
     VolBoundsError,
     black_scholes_call,
@@ -28,20 +27,18 @@ from multiphase.pricing import (
 )
 
 TABLE_PARAMS = TwoPhaseParams(0.3, 0.4, -0.02)
-TABLE_MODEL = PricingModel(TABLE_PARAMS)
-MIRROR_MODEL = PricingModel(TwoPhaseParams(0.3, 0.4, 0.02))
+MIRROR_PARAMS = TwoPhaseParams(0.3, 0.4, 0.02)
 SPOT, RATE = 100.0, 0.05
 
 
 def exp_moment_by_quadrature(p, t):
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=200)
     smax = max(p.sigma1, p.sigma2) * math.sqrt(t)
     lo = min(p.q, 0.0) - 14.0 * smax
     hi = max(p.q, 0.0) + smax * smax + 14.0 * smax
     total = 0.0
     for a, b in zip(sorted({lo, p.q, 0.0, hi})[:-1], sorted({lo, p.q, 0.0, hi})[1:]):
         value, _ = integrate_adaptive(
-            lambda z: math.exp(z) * two_phase_pdf(p, z, t), a, b, spec
+            lambda z: math.exp(z) * two_phase_pdf(p, z, t), a, b, tol=1e-12
         )
         total += value
     return total
@@ -121,10 +118,10 @@ class TestPriceCall:
     )
     def test_published_values(self, tau_days, strike, expected):
         terms = OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=tau_days)
-        assert price_call(TABLE_MODEL, terms) == pytest.approx(expected, abs=0.001)
+        assert price_call(TABLE_PARAMS, terms) == pytest.approx(expected, abs=0.001)
 
     def test_gaussian_reduction_on_grid(self):
-        model = PricingModel(TwoPhaseParams(0.3, 0.3, -0.02))
+        model = TwoPhaseParams(0.3, 0.3, -0.02)
         for tau_days in TABLE_TAUS_DAYS:
             for strike in TABLE_STRIKES:
                 terms = OptionTerms(
@@ -137,10 +134,10 @@ class TestPriceCall:
         # Regimes 1-2 require q > 0; 3-4 require q <= 0.  The strikes below
         # move m = -ln(S/K) - mu_bar*tau across q in each family.
         cases = [
-            (MIRROR_MODEL, 110.0, 1),
-            (MIRROR_MODEL, 90.0, 2),
-            (TABLE_MODEL, 110.0, 3),
-            (TABLE_MODEL, 90.0, 4),
+            (MIRROR_PARAMS, 110.0, 1),
+            (MIRROR_PARAMS, 90.0, 2),
+            (TABLE_PARAMS, 110.0, 3),
+            (TABLE_PARAMS, 90.0, 4),
         ]
         for model, strike, expected_regime in cases:
             terms = OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=80)
@@ -152,7 +149,7 @@ class TestPriceCall:
     def test_monotonicity_on_grid(self):
         prices = {
             (tau_days, strike): price_call(
-                TABLE_MODEL,
+                TABLE_PARAMS,
                 OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=tau_days),
             )
             for tau_days in TABLE_TAUS_DAYS
@@ -167,11 +164,11 @@ class TestPriceCall:
 
     def test_seam_continuity(self):
         # 100 pairs straddling the m = q regime boundary for both q signs.
-        for model in (TABLE_MODEL, MIRROR_MODEL):
-            q = model.params.q
+        for model in (TABLE_PARAMS, MIRROR_PARAMS):
+            q = model.q
             for i in range(50):
                 tau = (10.0 + 6.0 * i) / 365.0
-                mu_bar = drift_mu_bar(model.params, RATE, tau)
+                mu_bar = drift_mu_bar(model, RATE, tau)
                 seam_strike = SPOT * math.exp(q + mu_bar * tau)
                 eps = 1e-9 * seam_strike
                 lo = price_call(
@@ -194,7 +191,7 @@ class TestPriceCall:
                 terms = OptionTerms(
                     spot=SPOT, strike=strike, rate=RATE, tau_days=tau_days
                 )
-                price = price_call(TABLE_MODEL, terms)
+                price = price_call(TABLE_PARAMS, terms)
                 intrinsic = max(
                     0.0, SPOT - strike * math.exp(-RATE * tau_days / 365.0)
                 )
@@ -203,14 +200,14 @@ class TestPriceCall:
 
 class TestPriceCallQuadrature:
     def test_gaussian_matches_black_scholes(self):
-        model = PricingModel(TwoPhaseParams(0.3, 0.3, -0.1))
+        model = TwoPhaseParams(0.3, 0.3, -0.1)
         terms = OptionTerms(spot=SPOT, strike=95.0, rate=RATE, tau_days=80)
         bs = black_scholes_call(SPOT, 95.0, RATE, 0.3, 80 / 365.0)
         assert price_call_quadrature(model, terms) == pytest.approx(bs, abs=1e-8)
 
     def test_zero_strike_limit(self):
         terms = OptionTerms(spot=SPOT, strike=1e-9, rate=RATE, tau_days=80)
-        assert price_call_quadrature(TABLE_MODEL, terms) == pytest.approx(
+        assert price_call_quadrature(TABLE_PARAMS, terms) == pytest.approx(
             SPOT, abs=1e-6
         )
 
@@ -220,8 +217,8 @@ class TestPriceCallQuadrature:
                 terms = OptionTerms(
                     spot=SPOT, strike=strike, rate=RATE, tau_days=tau_days
                 )
-                closed = price_call(TABLE_MODEL, terms)
-                quad = price_call_quadrature(TABLE_MODEL, terms)
+                closed = price_call(TABLE_PARAMS, terms)
+                quad = price_call_quadrature(TABLE_PARAMS, terms)
                 assert closed == pytest.approx(quad, abs=1e-6)
 
 
@@ -238,7 +235,7 @@ class TestBlackScholes:
         )
 
     def test_matches_quadrature_pricer(self):
-        model = PricingModel(TwoPhaseParams(0.3, 0.3, 0.1))
+        model = TwoPhaseParams(0.3, 0.3, 0.1)
         terms = OptionTerms(spot=100.0, strike=100.0, rate=0.05, tau_years=0.25)
         bs = black_scholes_call(100.0, 100.0, 0.05, 0.3, 0.25)
         assert price_call_quadrature(model, terms) == pytest.approx(bs, abs=1e-8)
@@ -273,7 +270,7 @@ class TestImpliedVol:
         # passes any vol here, so only the iteration's own convergence
         # guards the result.  Expected vols are mpmath bisections.
         terms = OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=1)
-        price = price_call(TABLE_MODEL, terms)
+        price = price_call(TABLE_PARAMS, terms)
         vol = implied_vol(price, SPOT, strike, RATE, terms.tau)
         assert vol == pytest.approx(expected, abs=1e-6)
 
@@ -308,7 +305,7 @@ class TestImpliedVol:
 class TestSurface:
     def test_reproduces_published_grid(self):
         rows = surface(
-            TABLE_MODEL, TABLE_STRIKES, TABLE_TAUS_DAYS, spot=SPOT, rate=RATE
+            TABLE_PARAMS, TABLE_STRIKES, TABLE_TAUS_DAYS, spot=SPOT, rate=RATE
         )
         assert len(rows) == 48
         for row in rows:
@@ -317,19 +314,19 @@ class TestSurface:
             assert row.note == ""
 
     def test_flat_surface_for_equal_sigmas(self):
-        model = PricingModel(TwoPhaseParams(0.3, 0.3, -0.02))
+        model = TwoPhaseParams(0.3, 0.3, -0.02)
         rows = surface(model, (80.0, 100.0, 115.0), (17, 136), spot=SPOT, rate=RATE)
         for row in rows:
             assert row.implied_vol == pytest.approx(0.3, abs=1e-8)
 
     def test_skew_direction_and_quadrature_agreement(self):
-        rows = surface(TABLE_MODEL, (80.0, 115.0), (17,), spot=SPOT, rate=RATE)
+        rows = surface(TABLE_PARAMS, (80.0, 115.0), (17,), spot=SPOT, rate=RATE)
         by_strike = {row.strike: row for row in rows}
         assert by_strike[80.0].implied_vol > by_strike[115.0].implied_vol
         for strike, row in by_strike.items():
             terms = OptionTerms(spot=SPOT, strike=strike, rate=RATE, tau_days=17)
             quad_vol = implied_vol(
-                price_call_quadrature(TABLE_MODEL, terms),
+                price_call_quadrature(TABLE_PARAMS, terms),
                 SPOT,
                 strike,
                 RATE,
@@ -338,13 +335,13 @@ class TestSurface:
             assert row.implied_vol == pytest.approx(quad_vol, abs=1e-6)
 
     def test_bs_reference_uses_commensurate_vol(self):
-        rows = surface(TABLE_MODEL, (90.0,), (80,), spot=SPOT, rate=RATE)
+        rows = surface(TABLE_PARAMS, (90.0,), (80,), spot=SPOT, rate=RATE)
         vol = commensurate_volatility(TABLE_PARAMS, 80 / 365.0)
         expected = black_scholes_call(SPOT, 90.0, RATE, vol, 80 / 365.0)
         assert rows[0].bs_reference_price == pytest.approx(expected, abs=1e-12)
 
     def test_csv_serialization(self):
-        rows = surface(TABLE_MODEL, (80.0, 90.0), (17, 45), spot=SPOT, rate=RATE)
+        rows = surface(TABLE_PARAMS, (80.0, 90.0), (17, 45), spot=SPOT, rate=RATE)
         buffer = io.StringIO()
         write_surface_csv(rows, buffer)
         lines = buffer.getvalue().strip().splitlines()
@@ -356,7 +353,7 @@ class TestSurface:
 
     def test_row_bounds_invariant(self):
         rows = surface(
-            TABLE_MODEL, TABLE_STRIKES, TABLE_TAUS_DAYS, spot=SPOT, rate=RATE
+            TABLE_PARAMS, TABLE_STRIKES, TABLE_TAUS_DAYS, spot=SPOT, rate=RATE
         )
         for row in rows:
             tau = row.tau_days / 365.0
@@ -390,7 +387,7 @@ def test_closed_vs_quadrature_two_sign_grid():
     strikes = np.linspace(70.0, 130.0, 10)
     taus = np.linspace(10.0, 400.0, 10)
     seen = set()
-    for model in (TABLE_MODEL, MIRROR_MODEL):
+    for model in (TABLE_PARAMS, MIRROR_PARAMS):
         for strike in strikes:
             for tau_days in taus:
                 terms = OptionTerms(
