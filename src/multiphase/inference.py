@@ -26,12 +26,10 @@ from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-# minimize and numerical_hessian are not called here; they stay module
-# attributes because benchmark/tracing.py wraps them at these names.
-from scipy.optimize import minimize  # noqa: F401
-
+# numerical_hessian and minimize are not called here; benchmark/tracing.py
+# wraps them at these names.  minimize resolves on first read through the
+# module __getattr__ below, so importing this module loads no scipy.optimize.
 from .numerics import erfc, numerical_hessian  # noqa: F401
 from .phase_kernel import TwoPhaseParams
 
@@ -66,6 +64,14 @@ _REFINE_XATOL = 1e-4
 _UNITS = ("fraction", "percent")
 
 
+def __getattr__(name):
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class DegenerateSampleError(ValueError):
     """The sample admits no maximum likelihood scale (e.g. all zeros)."""
 
@@ -80,7 +86,11 @@ class IngestionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ReturnSample:
-    """Observed log-returns at a common horizon t (default one day = 1 unit)."""
+    """Observed log-returns at a common horizon t (default one day = 1 unit).
+
+    unit is a label carried into the FitReport; the values are not scaled, so
+    the estimates come back in the sample's own units.
+    """
 
     values: np.ndarray
     t: float = 1.0
@@ -584,6 +594,8 @@ def fit_two_phase(sample: ReturnSample, demean: bool = False) -> FitReport:
     bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, n_grid - 1)]))
     resolution = _REFINE_XATOL * (bracket[1] - bracket[0])
     if bracket[1] > bracket[0]:
+        from scipy.optimize import minimize_scalar
+
         tried = []
 
         def negative_profile(q):

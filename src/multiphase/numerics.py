@@ -3,6 +3,8 @@
 Everything here is a thin, contract-checked layer over scipy/numpy so that the
 rest of the package has a single place to look for tolerances and failure
 semantics.  All functions are pure; random state is an explicit value.
+Quadrature imports scipy.integrate on its first call, so a process that never
+integrates loads only numpy and scipy.special.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "RngState",
@@ -83,6 +85,8 @@ def integrate_adaptive(
     1/sqrt kind are handled by the underlying subdivision+extrapolation rule.
     Raises QuadratureError (carrying the best estimate) on non-convergence.
     """
+    from scipy import integrate
+
     out = integrate.quad(
         f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=True
     )
@@ -109,6 +113,8 @@ def integrate_vector(
     QuadratureError (carrying the best estimate) on non-convergence, which
     includes tol <= 0 and limit < 1.
     """
+    from scipy import integrate
+
     values, err_est, info = integrate.quad_vec(
         f, a, b, epsabs=tol, epsrel=tol, norm="max", limit=limit,
         points=points, full_output=True,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, TextIO
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .numerics import erfc, integrate_adaptive, integrate_vector
 from .phase_kernel import (
@@ -96,6 +95,8 @@ def _implicit_solver(h: np.ndarray, conductance: np.ndarray, dt: float):
     Crank-Nicolson step of dt, since its right-hand side (H - (dt/2) L) u is
     (2 H - A) u.  Raises SolverFailure if the factorization breaks down.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     coupling = 0.5 * dt * conductance
     main = h.copy()
     main[:-1] += coupling

@@ -20,8 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-# integrate_adaptive is not called here; it stays a module attribute because
-# benchmark/tracing.py wraps the quadrature at this name.
+# integrate_adaptive is not called here; benchmark/tracing.py wraps it at this
+# name.  Holding it loads no scipy.integrate: numerics imports that on a call.
 from .numerics import RngState, integrate_adaptive, std_normal_cdf  # noqa: F401
 
 __all__ = [
