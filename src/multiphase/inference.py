@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 from typing import TextIO
@@ -30,7 +31,9 @@ import numpy as np
 # numerical_hessian and minimize are not called here; benchmark/tracing.py
 # wraps them at these names.  minimize resolves on first read through the
 # module __getattr__ below, so importing this module loads no scipy.optimize.
-from .numerics import erfc, numerical_hessian  # noqa: F401
+# The fit itself needs only numpy and math: its normal tails are math.erfc
+# and its refinement is _bounded_brent.
+from .numerics import numerical_hessian  # noqa: F401
 from .phase_kernel import TwoPhaseParams
 
 __all__ = [
@@ -59,8 +62,10 @@ _NEWTON_TOL = 1e-8
 _NEWTON_MAX_ITER = 50
 _NEWTON_MAX_STEP = 2.0
 _LOG_SCALE_BOX = 30.0
-#: Brent stops refining q within this fraction of its bracket.
+#: Brent stops refining q within this fraction of its bracket, or after this
+#: many profile evaluations.
 _REFINE_XATOL = 1e-4
+_REFINE_MAXFUN = 500
 _UNITS = ("fraction", "percent")
 
 
@@ -268,11 +273,22 @@ def log_likelihood_two_phase(p: TwoPhaseParams, sample: ReturnSample) -> float:
 
 
 def fit_normal_null(sample: ReturnSample) -> tuple[float, float]:
-    """Zero-mean Gaussian MLE: sigma_hat = sqrt(sum x^2 / (n t)) and its loglik."""
+    """Zero-mean Gaussian MLE: sigma_hat = sqrt(sum x^2 / (n t)) and its loglik.
+
+    Raises DegenerateSampleError when every observation is zero, and when
+    sum x^2 overflows or falls below the smallest normal double, where the
+    scale would be infinite or would have lost its digits.
+    """
     x = sample.values
-    ss = float(np.dot(x, x))
-    if ss == 0.0:
-        raise DegenerateSampleError("all observations are zero; scale MLE degenerate")
+    with np.errstate(over="ignore"):
+        ss = float(np.dot(x, x))
+    if not sys.float_info.min <= ss < math.inf:
+        if not np.any(x):
+            raise DegenerateSampleError("all observations are zero; scale MLE degenerate")
+        fault = "overflows" if ss == math.inf else "underflows"
+        raise DegenerateSampleError(
+            f"the sum of squared observations {fault} ({ss!r}); rescale the sample"
+        )
     n = x.size
     sigma = math.sqrt(ss / (n * sample.t))
     s = sigma * math.sqrt(sample.t)
@@ -292,7 +308,7 @@ def lr_test(loglik_alt: float, loglik_null: float) -> tuple[float, float]:
             "the nested model cannot fit worse, so the fit did not converge"
         )
     lr = max(0.0, 2.0 * (loglik_alt - loglik_null))
-    p_value = float(erfc(math.sqrt(lr / 2.0)))
+    p_value = math.erfc(math.sqrt(lr / 2.0))
     return lr, p_value
 
 
@@ -302,7 +318,7 @@ def davies_p_value(lr: float, total_variation: float) -> float:
     p = erfc(sqrt(lr / 2)) + V exp(-lr / 2) / sqrt(2 pi), capped at 1, where V
     is the total variation over q of the signed root of LR(q).
     """
-    tail = erfc(math.sqrt(lr / 2.0))
+    tail = math.erfc(math.sqrt(lr / 2.0))
     return min(1.0, tail + total_variation * math.exp(-0.5 * lr) * _INV_SQRT_2PI)
 
 
@@ -526,6 +542,84 @@ def _profile_newton(
     return f, ab, iterations, converged, calls
 
 
+def _bounded_brent(
+    func, a: float, b: float, xatol: float
+) -> tuple[float, float, bool]:
+    """Minimise func on [a, b] by Brent's (1973, ch. 5) bounded search.
+
+    A step-for-step port of SciPy's minimize_scalar(method="bounded"): the
+    same constants, parabola acceptance tests, tolerance updates and stopping
+    rule, so it evaluates func at the same points.  It stops after 500
+    evaluations.  Returns (x, func(x), success); success is False at that
+    limit or when func returned NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    success = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q  # + 0.0 turns -0.0 into 0.0, as in SciPy
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _REFINE_MAXFUN:
+            success = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        success = False
+    return xf, fx, success
+
+
 def fit_two_phase(sample: ReturnSample, demean: bool = False) -> FitReport:
     """Fit (sigma1, sigma2, q) by maximum likelihood, profiled over q, and
     test against the Gaussian null; demean subtracts the sample mean first.
@@ -534,12 +628,14 @@ def fit_two_phase(sample: ReturnSample, demean: bool = False) -> FitReport:
     log sigma2) by _profile_newton.  The profile is taken on 49 sample
     quantiles from 2% to 98%, centre out, each Newton warm-started from its
     neighbour's solution and the centre from sigma1 = sigma2 = the null's
-    sigma.  A bounded Brent search then refines q between the best grid
-    point's neighbours, each Newton starting where the last one ended; the
-    best grid point is kept if the refinement ends lower.  So q_hat lies in
-    the 2-98% sample quantiles, and loglik_alt is at least every grid
+    sigma.  A bounded Brent (1973) search then refines q between the best
+    grid point's neighbours, each Newton starting where the last one ended;
+    the best grid point is kept if the refinement ends lower.  So q_hat lies
+    in the 2-98% sample quantiles, and loglik_alt is at least every grid
     profile value and the null's (at sigma1 = sigma2 the model is the null
-    for every q).
+    for every q).  The search is the in-house _bounded_brent, which
+    evaluates the same q as SciPy's minimize_scalar(method="bounded"), so
+    the fit needs no SciPy.
 
     The p-value is the Davies bound (davies_p_value) with M = LR and V the
     total variation over the grid of sign(sigma1(q) - sigma2(q)) sqrt(LR(q));
@@ -594,23 +690,18 @@ def fit_two_phase(sample: ReturnSample, demean: bool = False) -> FitReport:
     bracket = (float(grid[max(best - 1, 0)]), float(grid[min(best + 1, n_grid - 1)]))
     resolution = _REFINE_XATOL * (bracket[1] - bracket[0])
     if bracket[1] > bracket[0]:
-        from scipy.optimize import minimize_scalar
-
         tried = []
 
         def negative_profile(q):
-            f, ab, ok = profile(float(q), tried[-1][2] if tried else ab_hat)
-            tried.append((f, float(q), ab, ok))
+            f, ab, ok = profile(q, tried[-1][2] if tried else ab_hat)
+            tried.append((f, q, ab, ok))
             return -f
 
-        res = minimize_scalar(
-            negative_profile, bounds=bracket, method="bounded",
-            options={"xatol": resolution},
-        )
+        _, _, success = _bounded_brent(negative_profile, *bracket, resolution)
         refinement_evaluations = len(tried)
         f, q, ab, ok = max(tried, key=lambda item: item[0])
         if f > loglik_alt:
-            loglik_alt, q_hat, ab_hat, converged = f, q, ab, ok and bool(res.success)
+            loglik_alt, q_hat, ab_hat, converged = f, q, ab, ok and success
 
     sigma1_hat, sigma2_hat = (math.exp(v) / math.sqrt(sample.t) for v in ab_hat)
     lr, p_value_chi2 = lr_test(loglik_alt, loglik_null)

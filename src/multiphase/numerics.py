@@ -1,10 +1,12 @@
-"""Shared numerical primitives: normal CDF, erfc, quadrature, Hessians, RNG.
+"""Shared numerical primitives: array normal CDF, quadrature, Hessians, RNG.
 
 Everything here is a thin, contract-checked layer over scipy/numpy so that the
 rest of the package has a single place to look for tolerances and failure
 semantics.  All functions are pure; random state is an explicit value.
-Quadrature imports scipy.integrate on its first call, so a process that never
-integrates loads only numpy and scipy.special.
+Each function imports the SciPy subpackage it wraps on its first call
+(scipy.special for the normal CDF, scipy.integrate for quadrature), so
+importing this module loads numpy alone.  Scalar normal tails elsewhere in
+the package are math.erfc.
 """
 
 from __future__ import annotations
@@ -13,14 +15,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "RngState",
     "QuadratureError",
     "HessianError",
     "std_normal_cdf",
-    "erfc",
     "integrate_adaptive",
     "integrate_vector",
     "numerical_hessian",
@@ -62,12 +62,9 @@ class RngState:
 
 def std_normal_cdf(z):
     """Standard normal CDF Phi(z); accepts scalars or arrays."""
+    from scipy import special
+
     return special.ndtr(z)
-
-
-def erfc(z):
-    """Complementary error function; satisfies erfc(z) = 2*Phi(-z*sqrt(2))."""
-    return special.erfc(z)
 
 
 def integrate_adaptive(

@@ -15,7 +15,7 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .numerics import erfc, integrate_adaptive, integrate_vector
+from .numerics import integrate_adaptive, integrate_vector
 from .phase_kernel import (
     DomainError,
     ModelLike,
@@ -313,7 +313,7 @@ def verify_identity_A14(alpha: float, beta: float, t: float) -> tuple[float, flo
 
     value, _ = integrate_adaptive(integrand, 0.0, math.pi / 2.0, tol=1e-12)
     lhs = 2.0 * value
-    rhs = math.pi * float(erfc((abs(alpha) + abs(beta)) / math.sqrt(t)))
+    rhs = math.pi * math.erfc((abs(alpha) + abs(beta)) / math.sqrt(t))
     return lhs, rhs
 
 

@@ -352,20 +352,27 @@ def _partial_moments(
     leaves rounding noise in its small odd moments, which shows as ripples in
     the far-q skewness.  With Y = m + scale*Z and a = (side*cut - m)/scale,
     m = side*mean, the truncated moments M_j = E[Z^j; Z >= a] follow from
-    M_0 = Phi(-a), M_1 = phi(a) and M_j = a^(j-1) phi(a) + (j-1) M_(j-2).
-    An infinite cut gives the full (cut = -side*inf) or empty moments.
+    M_0 = Phi(-a) = erfc(a / sqrt 2) / 2, M_1 = phi(a) and
+    M_j = a^(j-1) phi(a) + (j-1) M_(j-2).  An infinite cut gives the full
+    (cut = -side*inf) or empty moments.
     """
     m = side * mean
     a = (side * cut - m) / scale
     dens = math.exp(-0.5 * a * a) / _SQRT_2PI
-    z = [float(std_normal_cdf(-a)), dens]
+    z = [0.5 * math.erfc(a * _SQRT_HALF), dens]
     for j in range(2, 5):
         z.append((a ** (j - 1) * dens if dens else 0.0) + (j - 1) * z[j - 2])
-    return [
-        side**k * weight
-        * sum(math.comb(k, j) * m ** (k - j) * scale**j * z[j] for j in range(k + 1))
-        for k in range(5)
-    ]
+    try:
+        return [
+            side**k * weight
+            * sum(math.comb(k, j) * m ** (k - j) * scale**j * z[j] for j in range(k + 1))
+            for k in range(5)
+        ]
+    except OverflowError:
+        raise DomainError(
+            f"the raw moments of a Gaussian piece with mean {mean!r} and scale "
+            f"{scale!r} overflow the double range"
+        ) from None
 
 
 def _moments(phases) -> MomentSummary:
@@ -389,6 +396,11 @@ def _moments(phases) -> MomentSummary:
             columns.append(moments)
     _, m1, m2, m3, m4 = (math.fsum(column) for column in zip(*columns))
     var = m2 - m1 * m1
+    if not var * var > 0.0:  # the kurtosis divides by var^2
+        raise DomainError(
+            f"variance {var!r} is zero or its square underflows; "
+            "skewness and kurtosis are undefined in double precision"
+        )
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
     return MomentSummary(m1, var, mu3 / var**1.5, mu4 / var**2)

@@ -118,7 +118,10 @@ class SurfaceRow:
 
 
 def _tilted_sums(phases, z_star: float) -> tuple[float, float]:
-    """(E[exp(Z); Z >= z*], P(Z >= z*)) summed over the Gaussian pieces."""
+    """(E[exp(Z); Z >= z*], P(Z >= z*)) summed over the Gaussian pieces.
+
+    Raises PricingError when a piece's tilt m + s^2/2 overflows exp.
+    """
     tilted = mass = 0.0
     for lo, hi, scale, pieces in phases:
         lo = max(lo, z_star)
@@ -126,7 +129,14 @@ def _tilted_sums(phases, z_star: float) -> tuple[float, float]:
             continue
         shift = scale * scale
         for w, m in pieces:
-            tilted += w * math.exp(m + 0.5 * shift) * _mass(lo, hi, m + shift, scale)
+            try:
+                growth = math.exp(m + 0.5 * shift)
+            except OverflowError:
+                raise PricingError(
+                    f"a Gaussian piece's tilt m + s^2/2 = {m + 0.5 * shift:.6g} "
+                    "overflows exp; E[exp(Z)] is outside the double range"
+                ) from None
+            tilted += w * growth * _mass(lo, hi, m + shift, scale)
             mass += w * _mass(lo, hi, m, scale)
     return tilted, mass
 

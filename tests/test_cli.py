@@ -425,6 +425,26 @@ class TestExitDiscipline:
         assert status == 2
         assert err.strip()
 
+    def test_underflowing_variance_is_a_domain_error(self):
+        status, out, err = invoke(["moments", "--sigma1", "1e-300", "--sigma2", "0.2",
+                                   "--q", "-1e-12", "--t", "1"])
+        assert (status, out) == (2, "")
+        assert "error: DomainError: variance" in err
+
+    def test_overflowing_raw_moments_are_a_domain_error(self):
+        # An image piece of mean 1e142 overflows m^4.
+        status, out, err = invoke(["moments", "--sigma1", "1e-150", "--sigma2", "1e-8",
+                                   "--q", "-1", "--t", "1"])
+        assert (status, out) == (2, "")
+        assert "error: DomainError: the raw moments" in err
+
+    def test_overflowing_tilt_is_a_pricing_error(self):
+        status, out, err = invoke(["price", "--sigma1", "38", "--sigma2", "0.3",
+                                   "--q", "-0.01", "--s", "100", "--k", "90",
+                                   "--r", "0.05", "--tau-days", "365"])
+        assert (status, out) == (2, "")
+        assert "error: PricingError:" in err and "overflows exp" in err
+
     def test_version(self):
         status, out, _ = invoke(["--version"])
         assert status == 0

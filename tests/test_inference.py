@@ -370,10 +370,97 @@ class TestLrTest:
         assert p == 1.0
 
 
+def brent_cases():
+    """(function, bounds, xatol): ten parabolas, with the minimum inside or
+    outside the bounds, ten sums of sines with several minima and ten
+    functions with a kink at the minimum, seeded."""
+    gen = np.random.Generator(np.random.PCG64(2606))
+
+    def parabola(c, s):
+        return lambda x: s * (x - c) ** 2
+
+    def sines(a, w, p):
+        return lambda x: sum(ak * math.sin(wk * x + pk) for ak, wk, pk in zip(a, w, p))
+
+    def kink(c, left, right):
+        return lambda x: left * (c - x) if x < c else right * (x - c)
+
+    cases = []
+    for k in range(30):
+        lo = gen.uniform(-3.0, 3.0)
+        bounds = (lo, lo + gen.uniform(0.5, 6.0))
+        xatol = 10.0 ** gen.uniform(-10.0, -3.0)
+        if k < 10:
+            func = parabola(gen.uniform(-4.0, 7.0), gen.uniform(0.1, 10.0))
+        elif k < 20:
+            func = sines(*gen.uniform([[0.2] * 3, [1.0] * 3, [0.0] * 3],
+                                      [[1.0] * 3, [9.0] * 3, [6.0] * 3]))
+        else:
+            func = kink(gen.uniform(*bounds), gen.uniform(0.1, 5.0), gen.uniform(0.1, 5.0))
+        cases.append((func, bounds, xatol))
+    return cases
+
+
+def both_brents(func, bounds, xatol):
+    """The points each of SciPy's bounded method and _bounded_brent
+    evaluates, and their (x, f(x), success)."""
+    from scipy.optimize import minimize_scalar
+
+    ours, theirs = [], []
+
+    def record(points):
+        def recorded(x):
+            points.append(float(x))
+            return func(float(x))
+
+        return recorded
+
+    res = minimize_scalar(
+        record(theirs), bounds=bounds, method="bounded", options={"xatol": xatol}
+    )
+    result = inference._bounded_brent(record(ours), *bounds, xatol)
+    return ours, theirs, result, (float(res.x), float(res.fun), bool(res.success))
+
+
+class TestBoundedBrent:
+    """_bounded_brent is a port of SciPy's bounded method: it must evaluate
+    the same points and report the same result and success flag."""
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_same_points_as_scipy(self, case):
+        func, bounds, xatol = brent_cases()[case]
+        ours, theirs, result, expected = both_brents(func, bounds, xatol)
+        assert ours == theirs
+        assert result == expected
+        assert result[2] and len(ours) < inference._REFINE_MAXFUN
+
+    def test_evaluation_limit(self):
+        # |x| with no absolute tolerance shrinks the bracket toward 0 forever.
+        ours, theirs, result, expected = both_brents(abs, (-1.0, 2.0), 0.0)
+        assert ours == theirs and result == expected
+        assert len(ours) == inference._REFINE_MAXFUN and not result[2]
+
+    def test_nan_is_a_failure(self):
+        # NaN at the first point, which the search can then never improve on.
+        def func(x):
+            return math.nan if x > 0.3 else (x - 0.1) ** 2
+
+        ours, theirs, result, expected = both_brents(func, (0.0, 1.0), 1e-6)
+        assert ours == theirs
+        assert result[0] == expected[0] and math.isnan(result[1])
+        assert math.isnan(expected[1]) and result[2] is expected[2] is False
+
+
 class TestFitTwoPhase:
     def test_small_sample_rejected(self):
         with pytest.raises(DegenerateSampleError):
             fit_two_phase(ReturnSample(np.array([0.01, -0.02, 0.005])))
+
+    @pytest.mark.parametrize("scale, cause", [(1e200, "overflows"), (1e-200, "underflows")])
+    def test_sum_of_squares_out_of_range_raises(self, scale, cause):
+        x = RngState(seed=11).generator().normal(0.0, 1.0, 500) * scale
+        with pytest.raises(DegenerateSampleError, match=cause):
+            fit_two_phase(ReturnSample(x))
 
     def test_synthetic_recovery(self):
         truth = TwoPhaseParams(0.01, 0.035, -0.02)
