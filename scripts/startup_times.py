@@ -55,14 +55,25 @@ COMMANDS = [
 ENTRY = "import sys; from multiphase.cli import main; sys.exit(main())"
 
 
+def write_returns(path: Path) -> None:
+    """The seeded 500-row returns file that `fit` reads."""
+    draws = np.random.Generator(np.random.PCG64(500)).normal(0.0, 0.01, 500)
+    path.write_text("".join(f"{v:.8f}\n" for v in draws))
+
+
+def run_cli(src: str, argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """One fresh process running the command line argv on src; stderr is captured."""
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", ENTRY, *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, check=False,
+    )
+
+
 def run_once(src: str, argv: list[str]) -> float:
     """Seconds of wall time for one fresh process running argv on src."""
-    env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", ENTRY, *argv],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, check=False,
-    )
+    done = run_cli(src, argv, stdout=subprocess.DEVNULL)
     elapsed = time.perf_counter() - start
     if done.returncode != 0:
         raise SystemExit(
@@ -87,8 +98,7 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as tmp:
         returns = Path(tmp) / "returns.csv"
-        draws = np.random.Generator(np.random.PCG64(500)).normal(0.0, 0.01, 500)
-        returns.write_text("".join(f"{v:.8f}\n" for v in draws))
+        write_returns(returns)
         medians = {}
         for name, template in COMMANDS:
             if only and name not in only:

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .numerics import QuadratureError, RngState
 from .phase_kernel import (
+    PhaseSystem,
     SeriesConsistencyError,
     ThreePhaseParams,
     TwoPhaseParams,
@@ -179,7 +180,7 @@ def _reject_other_model_flags(args) -> None:
         )
 
 
-def _model_params(args) -> TwoPhaseParams | ThreePhaseParams:
+def _model_params(args) -> PhaseSystem:
     _reject_other_model_flags(args)
     if args.model == "two-phase":
         if args.q is None:

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
 from .numerics import integrate_adaptive, integrate_vector
 from .phase_kernel import (
     DomainError,
-    ModelLike,
+    PhaseSystem,
     ThreePhaseParams,
-    TwoPhaseParams,
-    _csv,
+    _gaussian_pieces,
     _pdf,
     _pieces,
-    two_phase_pdf,
 )
+
+# two_phase_pdf is not called here; benchmark/tracing.py counts it at this name.
+from .phase_kernel import two_phase_pdf  # noqa: F401
 
 __all__ = [
     "SolverFailure",
@@ -37,7 +38,6 @@ __all__ = [
     "verify_identity_A10",
     "verify_identity_A14",
     "three_phase_flux",
-    "write_solution_csv",
     "solution_report",
 ]
 
@@ -113,10 +113,8 @@ def _implicit_solver(h: np.ndarray, conductance: np.ndarray, dt: float):
     return solve
 
 
-def solve_system(sys: ModelLike, grid: SolverGrid, t_end: float) -> GridSolution:
+def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSolution:
     """Finite-volume solve of the interface system from a point mass at 0.
-
-    sys is any model with sigmas (top-down) and boundaries (decreasing).
 
     Every boundary is a cell face: each phase interval, cut at the window
     ends, holds max(1, round(length / ((x_max - x_min) / nx))) uniform cells,
@@ -197,7 +195,7 @@ def solve_system(sys: ModelLike, grid: SolverGrid, t_end: float) -> GridSolution
     return solution
 
 
-def _window(sys: ModelLike, t: float, scales: float = 8.5) -> tuple[float, float]:
+def _window(sys: PhaseSystem, t: float, scales: float = 8.5) -> tuple[float, float]:
     """[min(boundaries, 0), max(boundaries, 0)] widened on each side by scales
     times max(sigma) sqrt(t): the window solve_for_system sizes (8.5 scales),
     or the narrowest that solve_system accepts (8)."""
@@ -206,7 +204,7 @@ def _window(sys: ModelLike, t: float, scales: float = 8.5) -> tuple[float, float
 
 
 def solve_for_system(
-    sys: ModelLike,
+    sys: PhaseSystem,
     t_end: float,
     nx: int = 2001,
     dt: float = 1e-3,
@@ -220,52 +218,54 @@ def solve_for_system(
 
 
 def chapman_kolmogorov_check(
-    p: TwoPhaseParams, s: float, t: float, grid: SolverGrid
+    p: PhaseSystem, s: float, t: float, grid: SolverGrid
 ) -> float:
     """Max abs deviation of the time-s/time-(t-s) convolution from the time-t law.
 
-    The convolution is int p_s(y) p_(t-s)(y -> x) dy, checked at 61 x points
-    spanning the grid window with x = 0 and x = q inserted.  Restarted from
-    y, the law sees its boundary at q - y, so the inner factor is the
-    two-phase law with boundary q - y evaluated at x - y; the outer time-s
-    law is fixed, so its Gaussian pieces are built once.  The integrand is
-    the vector over all x, integrated by one adaptive quadrature in y within
-    13 outer scales of [min(q, 0), max(q, 0)], with a break at y = q, where
-    the source crosses the boundary, the one kink in y of both factors (the
-    inner factor's kink sits at x = q for every y).  So that no peak, about
-    w = min(sigma) sqrt(min(s, t - s)) wide, falls between the nodes, the
-    range starts cut into equal panels at most 40 w wide, refined up to 400
-    subdivisions.  Beyond 50 panels that leaves too little room, so the check
-    raises DomainError rather than return a wrong error: with q = 0 and s
-    near t, once (t - s)/s < 1.69e-4 (max(sigma)/min(sigma))^2.
-    (0.2, 0.3, -0.1) passes at s = 0.999 t and raises at s = 0.9998 t.
+    p is any model: a PhaseSystem of any number of phases, whose law has a
+    kink at every boundary.  The convolution is int p_s(y) p_(t-s)(y -> x) dy,
+    checked at 61 x points spanning the grid window with x = 0 and every
+    boundary inserted.  Restarted from y, the law is the same system with
+    every boundary shifted by -y, evaluated at x - y; the outer time-s law is
+    fixed, so its Gaussian pieces are built once.  The integrand is the
+    vector over all x, integrated by one adaptive quadrature in y within 13
+    outer scales of the span of the boundaries and 0, with a break at every
+    boundary, where the start crosses it: a kink in y of both factors (the
+    inner factor's kinks sit at the boundaries in x for every y).  So that no
+    peak, about w = min(sigma) sqrt(min(s, t - s)) wide, falls between the
+    nodes, the range starts cut into equal panels at most 40 w wide, refined
+    up to 400 subdivisions.  Beyond 50 panels that leaves too little room, so
+    the check raises DomainError rather than return a wrong error: for two
+    phases with q = 0 and s near t, once (t - s)/s < 1.69e-4
+    (max(sigma)/min(sigma))^2.  (0.2, 0.3, -0.1) passes at s = 0.999 t and
+    raises at s = 0.9998 t.
     """
     return _chapman_kolmogorov(p, s, t, grid)[0]
 
 
 def _chapman_kolmogorov(
-    p: TwoPhaseParams, s: float, t: float, grid: SolverGrid
+    p: PhaseSystem, s: float, t: float, grid: SolverGrid
 ) -> tuple[float, float, int]:
     """chapman_kolmogorov_check with the quadrature's error estimate and
     number of integrand calls: (max_abs_error, error_estimate, calls)."""
     xs = np.unique(
-        np.concatenate([np.linspace(grid.x_min, grid.x_max, 61), [0.0, p.q]])
+        np.concatenate([np.linspace(grid.x_min, grid.x_max, 61), [0.0, *p.boundaries]])
     )
     values, err_est, calls = _semigroup(p, s, t, xs)
-    worst = float(np.max(np.abs(values - two_phase_pdf(p, xs, t))))
+    worst = float(np.max(np.abs(values - _pdf(_pieces(p, t), xs))))
     return worst, err_est, calls
 
 
 def _semigroup(
-    p: TwoPhaseParams, s: float, t: float, xs: np.ndarray
+    p: PhaseSystem, s: float, t: float, xs: np.ndarray
 ) -> tuple[np.ndarray, float, int]:
     """The convolution (p_s o p_(t-s))(x) at every x of xs, by the quadrature
     of chapman_kolmogorov_check: (values, error_estimate, calls)."""
     if not 0 < s < t < math.inf:
         raise DomainError(f"need 0 < s < t < inf, got s={s}, t={t}")
     smax, smin = max(p.sigmas), min(p.sigmas)
-    y_lo = min(p.q, 0.0) - 13.0 * smax * math.sqrt(s)
-    y_hi = max(p.q, 0.0) + 13.0 * smax * math.sqrt(s)
+    y_lo = min((*p.boundaries, 0.0)) - 13.0 * smax * math.sqrt(s)
+    y_hi = max((*p.boundaries, 0.0)) + 13.0 * smax * math.sqrt(s)
     width = smin * math.sqrt(min(s, t - s))
     panels = math.ceil((y_hi - y_lo) / (40.0 * width))
     if panels > 50:
@@ -274,10 +274,10 @@ def _semigroup(
     outer = _pieces(p, s)
 
     def integrand(y: float) -> np.ndarray:
-        inner = TwoPhaseParams(p.sigma1, p.sigma2, p.q - y)
-        return _pdf(outer, y) * two_phase_pdf(inner, xs - y, t - s)
+        inner = _gaussian_pieces(p.sigmas, [q - y for q in p.boundaries], t - s)
+        return _pdf(outer, y) * _pdf(inner, xs - y)
 
-    points = (p.q, *np.linspace(y_lo, y_hi, panels + 1)[1:-1])
+    points = (*p.boundaries, *np.linspace(y_lo, y_hi, panels + 1)[1:-1])
     return integrate_vector(integrand, y_lo, y_hi, tol=1e-9, limit=400, points=points)
 
 
@@ -335,11 +335,6 @@ def three_phase_flux(p: ThreePhaseParams, t: float) -> tuple[float, float]:
         ) / (2.0 * t * _SQRT_2PI * scale)
 
     return flux(phases[0], p.q1), flux(phases[2], p.q2)
-
-
-def write_solution_csv(solution: GridSolution, stream: TextIO) -> None:
-    """Serialize a GridSolution as `x,u` rows (12 significant digits)."""
-    stream.write(_csv({"x": solution.x, "u": solution.values}))
 
 
 def solution_report(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -53,58 +53,13 @@ class SeriesConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TwoPhaseParams:
-    """Two-phase law: scale sigma1 above the boundary q, sigma2 below."""
-
-    sigma1: float
-    sigma2: float
-    q: float
-
-    def __post_init__(self):
-        if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
-            raise DomainError(
-                "sigmas must be positive and finite, got "
-                f"({self.sigma1}, {self.sigma2})"
-            )
-        if not math.isfinite(self.q):
-            raise DomainError(f"q must be finite, got {self.q}")
-
-    sigmas = property(lambda self: (self.sigma1, self.sigma2))
-    boundaries = property(lambda self: (self.q,))
-
-
-@dataclass(frozen=True)
-class ThreePhaseParams:
-    """Three-phase law with boundaries q1 > 0 > q2 and the source in the middle."""
-
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    q1: float
-    q2: float
-
-    def __post_init__(self):
-        if not all(0 < s < math.inf for s in (self.sigma1, self.sigma2, self.sigma3)):
-            raise DomainError(
-                "sigmas must be positive and finite, got "
-                f"({self.sigma1}, {self.sigma2}, {self.sigma3})"
-            )
-        if not (math.inf > self.q1 > 0 > self.q2 > -math.inf):
-            raise DomainError(
-                f"need finite q1 > 0 > q2, got q1={self.q1}, q2={self.q2}"
-            )
-
-    sigmas = property(lambda self: (self.sigma1, self.sigma2, self.sigma3))
-    boundaries = property(lambda self: (self.q1, self.q2))
-
-
-@dataclass(frozen=True)
 class PhaseSystem:
     """N phases: sigmas top-down, strictly decreasing boundaries between them.
 
     Phases are numbered 1..N from the top interval (q_1, +inf) downward; the
     source phase is the 1-based index of the interval containing x = 0, with a
-    boundary exactly at 0 assigned to the phase above it.
+    boundary exactly at 0 assigned to the phase above it.  This is the one
+    validator of every model: the named models below are PhaseSystems.
     """
 
     sigmas: tuple[float, ...]
@@ -138,17 +93,42 @@ class PhaseSystem:
     @property
     def source_phase(self) -> int:
         """1-based index of the phase whose interval contains x = 0."""
-        for k, q in enumerate(self.boundaries, start=1):
-            if q <= 0.0:
-                return k
-        return self.n_phases
+        return 1 + sum(q > 0.0 for q in self.boundaries)
 
-    @classmethod
-    def from_two_phase(cls, p: "ModelLike") -> "PhaseSystem":
-        """The system of a TwoPhaseParams or ThreePhaseParams."""
-        return cls(sigmas=p.sigmas, boundaries=p.boundaries)
+    @staticmethod
+    def from_two_phase(p: PhaseSystem) -> PhaseSystem:
+        """A plain PhaseSystem with the sigmas and boundaries of p."""
+        return PhaseSystem(p.sigmas, p.boundaries)
 
     from_three_phase = from_two_phase
+
+
+class TwoPhaseParams(PhaseSystem):
+    """Two-phase law: scale sigma1 above the boundary q, sigma2 below."""
+
+    def __init__(self, sigma1: float, sigma2: float, q: float):
+        super().__init__((sigma1, sigma2), (q,))
+
+    sigma1 = property(lambda self: self.sigmas[0])
+    sigma2 = property(lambda self: self.sigmas[1])
+    q = property(lambda self: self.boundaries[0])
+
+
+class ThreePhaseParams(PhaseSystem):
+    """Three-phase law with boundaries q1 > 0 > q2 and the source in the middle."""
+
+    def __init__(
+        self, sigma1: float, sigma2: float, sigma3: float, q1: float, q2: float
+    ):
+        super().__init__((sigma1, sigma2, sigma3), (q1, q2))
+        if not self.q1 > 0 > self.q2:
+            raise DomainError(f"need q1 > 0 > q2, got q1={self.q1}, q2={self.q2}")
+
+    sigma1 = property(lambda self: self.sigmas[0])
+    sigma2 = property(lambda self: self.sigmas[1])
+    sigma3 = property(lambda self: self.sigmas[2])
+    q1 = property(lambda self: self.boundaries[0])
+    q2 = property(lambda self: self.boundaries[1])
 
 
 @dataclass(frozen=True)
@@ -264,7 +244,7 @@ def _gaussian_pieces(
     ]
 
 
-def _pieces(model: ModelLike, t: float):
+def _pieces(model: PhaseSystem, t: float):
     """_gaussian_pieces of a model with sigmas and boundaries."""
     return _gaussian_pieces(model.sigmas, model.boundaries, _check_t(t))
 
@@ -422,8 +402,10 @@ def two_phase_sample(
     Y = (X - q)/sigma(X) is skew Brownian motion from a = -q/sigma1 >= 0 with
     skew beta = (sigma1 - sigma2)/(sigma1 + sigma2).  R = |Y_t| is distributed
     as |a + sqrt(t) Z|, and given R the upper side has probability
-    (1 + beta e)/(1 + e), e = exp(-2 R a / t).  Deterministic given rng;
-    returns (draws, advanced rng state).
+    (1 + beta e)/(1 + e), e = exp(-2 R a / t).  An upper draw q + sigma1 R
+    is formed without adding q, so it keeps its digits however far the
+    boundary lies.  Deterministic given rng; returns (draws, advanced rng
+    state).
     """
     t = _check_t(t)
     if n < 0:
@@ -436,10 +418,12 @@ def two_phase_sample(
         s1, s2, q, sign = s2, s1, -q, -1.0
     beta = (s1 - s2) / (s1 + s2)
     a = -q / s1
-    r = np.abs(a + math.sqrt(t) * gen.standard_normal(n))
-    e = np.exp(-2.0 * a / t * r)
+    z = math.sqrt(t) * gen.standard_normal(n)
+    e = np.exp(-2.0 * a / t * np.abs(a + z))
     upper = gen.random(n) * (1.0 + e) < 1.0 + beta * e
-    x = np.where(upper, q + s1 * r, q - s2 * r)
+    # q + s1 |a + z| with q = -s1 a cancelled: s1 z, or -s1 (2a + z) where a + z < 0.
+    x = np.where(a + z >= 0.0, s1 * z, -s1 * (2.0 * a + z))
+    x = np.where(upper, x, q - s2 * np.abs(a + z))
     return sign * x, rng.advanced(gen)
 
 
@@ -482,11 +466,8 @@ def three_phase_pdf(p: ThreePhaseParams, x, t: float):
     return _checked(x, t, _pdf(_pieces(p, t), x))
 
 
-ModelLike = Union[TwoPhaseParams, ThreePhaseParams, PhaseSystem]
-
-
 def density_grid(
-    model: ModelLike,
+    model: PhaseSystem,
     t: float,
     x_grid: Sequence[float],
     include_normal: bool = False,

@@ -20,7 +20,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .numerics import integrate_adaptive
-from .phase_kernel import DomainError, TwoPhaseParams, _mass, _pieces
+from .phase_kernel import DomainError, TwoPhaseParams, _mass, _moments, _pieces
 from .phase_kernel import two_phase_moments, two_phase_pdf
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "implied_vol",
     "commensurate_volatility",
     "surface",
-    "put_from_parity",
     "write_surface_csv",
 ]
 
@@ -315,16 +314,17 @@ def surface(
 ) -> list[SurfaceRow]:
     """Implied-vol surface rows over a strike x maturity grid.
 
-    The Gaussian pieces and Lambda are built once per maturity.  Per-cell
-    failures (price at a vol bound, no convergence) are recorded in
-    the row's note with implied_vol = nan; generation continues.
+    The Gaussian pieces are built once per maturity; Lambda and the
+    commensurate volatility of the Black-Scholes reference both come from
+    them.  Per-cell failures (price at a vol bound, no convergence) are
+    recorded in the row's note with implied_vol = nan; generation continues.
     """
     rows: list[SurfaceRow] = []
     for tau_days in taus_days:
         terms_tau = tau_days / day_count
         phases = _pieces(p, terms_tau)
         lam = _tilted_sums(phases, -math.inf)[0]
-        sigma_ref = commensurate_volatility(p, terms_tau)
+        sigma_ref = math.sqrt(_moments(phases).variance / terms_tau)
         for strike in strikes:
             terms = OptionTerms(
                 spot=spot, strike=strike, rate=rate,
@@ -349,13 +349,6 @@ def surface(
                 )
             )
     return rows
-
-
-def put_from_parity(
-    call_price: float, spot: float, strike: float, rate: float, tau: float
-) -> float:
-    """European put via put-call parity on the same discounted forward."""
-    return call_price - spot + strike * math.exp(-rate * tau)
 
 
 def _format_vol(value: float) -> str:

@@ -1,6 +1,5 @@
 """Tests for the conservative finite-difference solver and identity checks."""
 
-import io
 import json
 import math
 
@@ -18,7 +17,6 @@ from multiphase.pde_oracle import (
     three_phase_flux,
     verify_identity_A10,
     verify_identity_A14,
-    write_solution_csv,
 )
 from multiphase import pde_oracle, phase_kernel
 from multiphase.phase_kernel import (
@@ -275,6 +273,19 @@ class TestChapmanKolmogorov:
         for s, t in [(0.2, 1.0), (0.4, 1.0), (0.5, 2.0)]:
             assert chapman_kolmogorov_check(CANONICAL, s, t, self.GRID) <= 1e-4
 
+    @pytest.mark.parametrize(
+        "sys_",
+        [
+            THREE_CANONICAL,
+            PhaseSystem((0.2, 0.3, 0.25, 0.35, 0.3), (0.5, 0.2, -0.1, -0.4)),
+        ],
+        ids=["three-phase", "five-phase"],
+    )
+    @pytest.mark.parametrize("s", [0.4, 0.9])
+    def test_many_phases(self, sys_, s):
+        grid = SolverGrid(*pde_oracle._window(sys_, 1.0))
+        assert chapman_kolmogorov_check(sys_, s, 1.0, grid) <= 1e-10
+
 
 class TestSemigroupQuadrature:
     """The vector quadrature against one scalar quadrature per x."""
@@ -376,16 +387,6 @@ class TestThreePhaseFlux:
 
 
 class TestSerialization:
-    def test_solution_csv(self):
-        solution = solve_for_system(
-            PhaseSystem.from_two_phase(CANONICAL), 0.5, nx=501, dt=1e-3
-        )
-        buffer = io.StringIO()
-        write_solution_csv(solution, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "x,u"
-        assert len(lines) == solution.x.size + 1
-
     def test_report_round_trip(self):
         solution = solve_for_system(
             PhaseSystem.from_two_phase(CANONICAL), 0.5, nx=501, dt=1e-3

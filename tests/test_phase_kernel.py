@@ -134,7 +134,11 @@ class TestPhaseSystem:
         with pytest.raises(DomainError):
             TwoPhaseParams(-0.1, 0.3, 0.0)
         with pytest.raises(DomainError):
+            TwoPhaseParams(0.0, 0.3, 0.0)
+        with pytest.raises(DomainError):
             TwoPhaseParams(0.1, 0.3, float("inf"))
+        with pytest.raises(DomainError):
+            TwoPhaseParams(0.1, 0.3, math.nan)
 
     def test_three_phase_params_validation(self):
         with pytest.raises(DomainError):
@@ -143,6 +147,30 @@ class TestPhaseSystem:
             ThreePhaseParams(0.2, 0.3, 0.25, 0.4, 0.3)
         with pytest.raises(DomainError):
             ThreePhaseParams(0.2, 0.3, 0.25, math.inf, -0.3)
+        with pytest.raises(DomainError):  # q1 <= 0
+            ThreePhaseParams(0.2, 0.3, 0.25, 0.0, -0.3)
+        with pytest.raises(DomainError):  # q1 <= q2
+            ThreePhaseParams(0.2, 0.3, 0.25, 0.3, 0.3)
+
+    def test_named_models_are_phase_systems_of_floats(self):
+        for model in (TwoPhaseParams(1, 2, -1), ThreePhaseParams(1, 2, 3, 1, -1)):
+            assert isinstance(model, PhaseSystem)
+            for values in (model.sigmas, model.boundaries):
+                assert isinstance(values, tuple)
+                assert all(type(v) is float for v in values)
+
+    def test_named_accessors_read_back(self):
+        two = TwoPhaseParams(0.2, 0.3, -0.1)
+        assert (two.sigma1, two.sigma2, two.q) == (0.2, 0.3, -0.1)
+        assert (two.sigmas, two.boundaries) == ((0.2, 0.3), (-0.1,))
+        three = ThreePhaseParams(0.2, 0.3, 0.25, 0.4, -0.3)
+        assert (three.sigma1, three.sigma2, three.sigma3) == (0.2, 0.3, 0.25)
+        assert (three.q1, three.q2) == (0.4, -0.3)
+        assert (three.sigmas, three.boundaries) == ((0.2, 0.3, 0.25), (0.4, -0.3))
+
+    def test_one_validator(self):
+        assert TwoPhaseParams.__post_init__ is PhaseSystem.__post_init__
+        assert ThreePhaseParams.__post_init__ is PhaseSystem.__post_init__
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -322,6 +350,27 @@ class TestTwoPhaseSample:
             TwoPhaseParams(sigma2, sigma1, -q), 1.0, 1000, RngState(seed=5)
         )
         assert np.array_equal(direct, -mirrored)
+
+    @pytest.mark.parametrize("q", [-1e16, 1e16])
+    def test_far_boundary_keeps_every_digit(self, q):
+        # Beyond a far boundary every draw stays on the source side, and is
+        # exactly sigma sqrt(t) Z: adding q and taking it off again once left
+        # 2 distinct values of 10^5 at |q| = 1e16.
+        n, sign = 10**5, 1.0 if q < 0 else -1.0
+        draws, _ = two_phase_sample(TwoPhaseParams(0.3, 0.3, q), 1.0, n, RngState(3))
+        normals = RngState(3).generator().standard_normal(n)
+        assert np.array_equal(draws, sign * 0.3 * normals)
+        assert np.unique(draws).size == n
+
+    @pytest.mark.parametrize("q", [-1e300, 1e300])
+    def test_overflowing_skew_start_gives_finite_draws(self, q):
+        # a = |q| / sigma overflows to inf at sigma = 1e-300; every draw was
+        # inf when formed as q + sigma * |a + sqrt(t) Z|.
+        draws, _ = two_phase_sample(
+            TwoPhaseParams(1e-300, 1e-300, q), 1.0, 1000, RngState(4)
+        )
+        assert np.all(np.isfinite(draws))
+        assert 0.0 < np.max(np.abs(draws)) < 1e-298
 
     def test_uses_no_cdf_or_pdf(self, monkeypatch):
         import multiphase.phase_kernel as kernel

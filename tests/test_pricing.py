@@ -21,7 +21,6 @@ from multiphase.pricing import (
     price_call,
     price_call_detail,
     price_call_quadrature,
-    put_from_parity,
     surface,
     write_surface_csv,
 )
@@ -359,27 +358,6 @@ class TestSurface:
             tau = row.tau_days / 365.0
             intrinsic = max(0.0, SPOT - row.strike * math.exp(-RATE * tau))
             assert intrinsic <= row.price <= SPOT
-
-
-class TestPutFromParity:
-    def test_parity_identity_atm(self):
-        tau = 0.5
-        call = black_scholes_call(100.0, 100.0, 0.05, 0.3, tau)
-        put = put_from_parity(call, 100.0, 100.0, 0.05, tau)
-        assert put - call == pytest.approx(
-            100.0 * math.exp(-0.05 * tau) - 100.0, abs=1e-12
-        )
-
-    def test_zero_strike(self):
-        assert put_from_parity(100.0, 100.0, 1e-9, 0.05, 0.5) == pytest.approx(
-            0.0, abs=1e-6
-        )
-
-    def test_published_cell_arithmetic(self):
-        put = put_from_parity(12.324, 100.0, 100.0, 0.05, 227 / 365.0)
-        assert put == pytest.approx(
-            12.324 - 100.0 + 100.0 * math.exp(-0.05 * 227 / 365.0), abs=1e-12
-        )
 
 
 def test_closed_vs_quadrature_two_sign_grid():
