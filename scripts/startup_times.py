@@ -1,11 +1,13 @@
-"""Wall time of each README command line as a fresh process.
+"""Wall time and peak memory of each README command line as a fresh process.
 
 Runs every command-line example of the README, and `fit` on a seeded
 500-row returns file, as a new Python process with PYTHONPATH set to each
 `src/` directory given.  The trees alternate within every repeat, and their
 order flips from one repeat to the next, so that a drift in the machine's
-load falls on all of them alike.  Prints the median wall time in ms of each
-command for each tree as JSON.  Every run must exit 0.
+load falls on all of them alike.  Prints, as JSON, the median wall time in
+ms and the median peak resident set size in MiB (the child's ru_maxrss,
+read by os.wait4 on its pid) of each command for each tree.  Every run
+must exit 0.
 
 Usage: python3 scripts/startup_times.py [SRC ...] [--runs 9] [--only fit,price]
 
@@ -70,16 +72,25 @@ def run_cli(src: str, argv: list[str], stdout=subprocess.PIPE) -> subprocess.Com
     )
 
 
-def run_once(src: str, argv: list[str]) -> float:
-    """Seconds of wall time for one fresh process running argv on src."""
+def run_once(src: str, argv: list[str]) -> tuple[float, float]:
+    """(seconds of wall time, peak RSS in MiB) of one fresh process running
+    argv on src."""
     start = time.perf_counter()
-    done = run_cli(src, argv, stdout=subprocess.DEVNULL)
+    child = subprocess.Popen(
+        [sys.executable, "-c", ENTRY, *argv], stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    stderr = child.stderr.read()
+    child.stderr.close()
+    # Reap the child here, not through Popen, to read its resource usage.
+    _, status, usage = os.wait4(child.pid, 0)
     elapsed = time.perf_counter() - start
-    if done.returncode != 0:
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
         raise SystemExit(
-            f"{argv[0]} on {src} exited {done.returncode}: {done.stderr.decode()}"
+            f"{argv[0]} on {src} exited {child.returncode}: {stderr.decode()}"
         )
-    return elapsed
+    return elapsed, usage.ru_maxrss / 1024.0
 
 
 def main(argv=None):
@@ -99,20 +110,28 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         returns = Path(tmp) / "returns.csv"
         write_returns(returns)
-        medians = {}
+        medians, peaks = {}, {}
         for name, template in COMMANDS:
             if only and name not in only:
                 continue
             command = [a.replace("{returns}", str(returns)) for a in template]
-            times = {src: [] for src in trees}
+            runs = {src: [] for src in trees}
             for repeat in range(args.runs):
                 for src in trees if repeat % 2 == 0 else trees[::-1]:
-                    times[src].append(run_once(src, command))
+                    runs[src].append(run_once(src, command))
             medians[name] = {
-                src: round(1e3 * statistics.median(t), 1) for src, t in times.items()
+                src: round(1e3 * statistics.median(t for t, _ in r), 1)
+                for src, r in runs.items()
             }
-            print(name, medians[name], file=sys.stderr, flush=True)
-    print(json.dumps({"runs": args.runs, "median_ms": medians}, indent=2))
+            peaks[name] = {
+                src: round(statistics.median(m for _, m in r), 1)
+                for src, r in runs.items()
+            }
+            print(name, medians[name], peaks[name], file=sys.stderr, flush=True)
+    print(json.dumps(
+        {"runs": args.runs, "median_ms": medians, "median_peak_rss_mib": peaks},
+        indent=2,
+    ))
 
 
 if __name__ == "__main__":

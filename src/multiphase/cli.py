@@ -42,11 +42,11 @@ from .pde_oracle import (
     SolverFailure,
     SolverGrid,
     _chapman_kolmogorov,
+    _identity_A10,
+    _identity_A14,
     _window,
     solution_report,
     solve_for_system,
-    verify_identity_A10,
-    verify_identity_A14,
 )
 from .inference import NestingError, fit_two_phase, load_returns
 from .pricing import (
@@ -329,18 +329,20 @@ def _cmd_check_identities(args, stderr) -> dict:
     if args.trials < 1:
         raise _UsageError(f"--trials must be >= 1, got {args.trials}", args._parser)
     gen = RngState(seed=_seed(args, stderr)).generator()
-    worst_a10 = worst_a14 = 0.0
+    worst_a10 = worst_a14 = worst_est = 0.0
     for _ in range(args.trials):
         q, a2, t = gen.uniform(0.05, 2.0, 3)
-        lhs, rhs = verify_identity_A10(q, a2, t)
+        lhs, rhs, est_a10 = _identity_A10(q, a2, t)
         worst_a10 = max(worst_a10, abs(lhs - rhs))
         alpha, beta, t2 = gen.uniform(0.05, 2.0, 3)
-        lhs, rhs = verify_identity_A14(alpha, beta, t2)
+        lhs, rhs, est_a14 = _identity_A14(alpha, beta, t2)
         worst_a14 = max(worst_a14, abs(lhs - rhs))
+        worst_est = max(worst_est, est_a10, est_a14)
     return {
         "trials": args.trials,
         "worst_abs_error_A10": worst_a10,
         "worst_abs_error_A14": worst_a14,
+        "worst_quadrature_error_estimate": worst_est,
         "tolerance": args.tolerance,
         "pass": bool(worst_a10 <= args.tolerance and worst_a14 <= args.tolerance),
     }

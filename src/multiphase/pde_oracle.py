@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import integrate_adaptive, integrate_vector
+from .numerics import integrate_vector
 from .phase_kernel import (
     DomainError,
     PhaseSystem,
@@ -25,7 +25,10 @@ from .phase_kernel import (
     _pieces,
 )
 
-# two_phase_pdf is not called here; benchmark/tracing.py counts it at this name.
+# two_phase_pdf and integrate_adaptive are not called here; benchmark/tracing.py
+# counts and wraps them at these names.  Holding integrate_adaptive loads no
+# scipy.integrate: numerics imports that on a call.
+from .numerics import integrate_adaptive  # noqa: F401
 from .phase_kernel import two_phase_pdf  # noqa: F401
 
 __all__ = [
@@ -91,9 +94,10 @@ def _implicit_solver(h: np.ndarray, conductance: np.ndarray, dt: float):
     H is the diagonal of cell widths and L the conductance Laplacian with
     closed ends, so A is symmetric positive definite and tridiagonal: LAPACK
     dpttrf factors it as L D L^T without pivoting, and dpttrs solves.  The
-    returned v is the implicit-Euler step of dt/2, and 2 v - u is the
-    Crank-Nicolson step of dt, since its right-hand side (H - (dt/2) L) u is
-    (2 H - A) u.  Raises SolverFailure if the factorization breaks down.
+    returned solve(b) overwrites b = h u with v, the implicit-Euler step of
+    dt/2; 2 v - u is the Crank-Nicolson step of dt, since its right-hand
+    side (H - (dt/2) L) u is (2 H - A) u.  Raises SolverFailure if the
+    factorization breaks down.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -107,8 +111,8 @@ def _implicit_solver(h: np.ndarray, conductance: np.ndarray, dt: float):
             f"dpttrf could not factor H + (dt/2) L at dt={dt:.3g} (info {info})"
         )
 
-    def solve(u: np.ndarray) -> np.ndarray:
-        return dpttrs(d, e, h * u, overwrite_b=True)[0]
+    def solve(b: np.ndarray) -> np.ndarray:
+        return dpttrs(d, e, b, overwrite_b=True)[0]
 
     return solve
 
@@ -166,10 +170,16 @@ def solve_system(sys: PhaseSystem, grid: SolverGrid, t_end: float) -> GridSoluti
     schedule = (
         [(warm, False)] * 2 + [(warm, True)] * (n_warm - 1) + [(main, True)] * n_steps
     )
+    # Each step forms h u in the spare buffer b, solves there in place and
+    # swaps: the same arithmetic as u = 2 v - u, with no array per step.
+    b = np.empty_like(u)
     max_dev = 0.0
     for solve, crank_nicolson in schedule:
-        v = solve(u)
-        u = 2.0 * v - u if crank_nicolson else v
+        v = solve(np.multiply(h, u, out=b))
+        if crank_nicolson:
+            v *= 2.0
+            v -= u
+        u, b = v, u
         max_dev = max(max_dev, abs(float(h @ u) - 1.0))
 
     mass = float(h @ u)
@@ -288,9 +298,15 @@ def verify_identity_A10(q: float, a2: float, t: float) -> tuple[float, float]:
     rhs = pi * erfc(|q| / (2 sqrt(a2 t))): the case alpha = 0,
     beta = q/(2 sqrt(a2)) of verify_identity_A14, whose integrand it is.
     """
+    return _identity_A10(q, a2, t)[:2]
+
+
+def _identity_A10(q: float, a2: float, t: float) -> tuple[float, float, float]:
+    """verify_identity_A10 with the quadrature's error estimate:
+    (lhs, rhs, error_estimate)."""
     if not (a2 > 0 and t > 0):
         raise DomainError(f"need a2 > 0 and t > 0, got a2={a2}, t={t}")
-    return verify_identity_A14(0.0, q / (2.0 * math.sqrt(a2)), t)
+    return _identity_A14(0.0, q / (2.0 * math.sqrt(a2)), t)
 
 
 def verify_identity_A14(alpha: float, beta: float, t: float) -> tuple[float, float]:
@@ -299,22 +315,31 @@ def verify_identity_A14(alpha: float, beta: float, t: float) -> tuple[float, flo
     lhs = integral_0^t exp(-alpha^2/(t-tau)) exp(-beta^2/tau)
           tau^{-1/2} (t-tau)^{-1/2} dtau,
     computed after the substitution tau = t sin^2(theta), which removes both
-    endpoint singularities; rhs = pi * erfc((|alpha| + |beta|) / sqrt(t)).
+    endpoint singularities, by integrate_vector on a 1-vector at tol 1e-12;
+    rhs = pi * erfc((|alpha| + |beta|) / sqrt(t)).
     """
+    return _identity_A14(alpha, beta, t)[:2]
+
+
+def _identity_A14(alpha: float, beta: float, t: float) -> tuple[float, float, float]:
+    """verify_identity_A14 with the quadrature's error estimate (of lhs):
+    (lhs, rhs, error_estimate)."""
     if not t > 0:
         raise DomainError(f"need t > 0, got {t}")
 
-    def integrand(theta: float) -> float:
+    def integrand(theta: float) -> np.ndarray:
         sin_sq = math.sin(theta) ** 2
         cos_sq = 1.0 - sin_sq
         if sin_sq == 0.0 or cos_sq == 0.0:
-            return 0.0
-        return math.exp(-alpha * alpha / (t * cos_sq) - beta * beta / (t * sin_sq))
+            return np.zeros(1)
+        return np.array([
+            math.exp(-alpha * alpha / (t * cos_sq) - beta * beta / (t * sin_sq))
+        ])
 
-    value, _ = integrate_adaptive(integrand, 0.0, math.pi / 2.0, tol=1e-12)
-    lhs = 2.0 * value
+    (value,), err_est, _ = integrate_vector(integrand, 0.0, math.pi / 2.0, tol=1e-12)
+    lhs = 2.0 * float(value)
     rhs = math.pi * math.erfc((abs(alpha) + abs(beta)) / math.sqrt(t))
-    return lhs, rhs
+    return lhs, rhs, 2.0 * err_est
 
 
 def three_phase_flux(p: ThreePhaseParams, t: float) -> tuple[float, float]:

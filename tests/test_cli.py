@@ -382,6 +382,7 @@ class TestCheckCommands:
         assert payload["pass"] is True
         assert payload["worst_abs_error_A10"] <= 1e-7
         assert payload["worst_abs_error_A14"] <= 1e-7
+        assert 0.0 < payload["worst_quadrature_error_estimate"] <= 1e-10
 
     def test_check_identities_needs_a_trial(self):
         # Zero or negative trials check nothing, so they cannot pass.

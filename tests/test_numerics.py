@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiphase import pde_oracle
 from multiphase.numerics import (
     HessianError,
     QuadratureError,
@@ -16,6 +17,7 @@ from multiphase.numerics import (
     numerical_hessian,
     std_normal_cdf,
 )
+from multiphase.phase_kernel import PhaseSystem
 
 
 class TestStdNormalCdf:
@@ -126,14 +128,17 @@ class TestIntegrateAdaptive:
             integrate_adaptive(square, 0.0, 1.0, limit=0)
 
 
+def known_integrals(x):
+    return np.array([x * x, math.exp(x), math.cos(x)])
+
+
+def kink_and_gaussian(x):
+    return np.array([abs(x - 0.3), math.exp(-0.5 * x * x)])
+
+
 class TestIntegrateVector:
     def test_known_integrals(self):
-        values, err, calls = integrate_vector(
-            lambda x: np.array([x * x, math.exp(x), math.cos(x)]),
-            0.0,
-            1.0,
-            tol=1e-12,
-        )
+        values, err, calls = integrate_vector(known_integrals, 0.0, 1.0, tol=1e-12)
         expected = [1.0 / 3.0, math.e - 1.0, math.sin(1.0)]
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
         assert 0.0 <= err <= 1e-10
@@ -142,11 +147,7 @@ class TestIntegrateVector:
     def test_break_point_at_a_kink(self):
         # |x - 0.3| has its kink on the break, so every panel is smooth.
         values, _, _ = integrate_vector(
-            lambda x: np.array([abs(x - 0.3), math.exp(-0.5 * x * x)]),
-            -1.0,
-            1.0,
-            tol=1e-12,
-            points=(0.3,),
+            kink_and_gaussian, -1.0, 1.0, tol=1e-12, points=(0.3,)
         )
         gaussian = math.sqrt(2.0 * math.pi) * (1.0 - math.erfc(math.sqrt(0.5)))
         np.testing.assert_allclose(
@@ -165,10 +166,109 @@ class TestIntegrateVector:
 
     def test_settings_validation(self):
         pair = lambda x: np.array([x, x * x])
-        with pytest.raises(QuadratureError):
-            integrate_vector(pair, 0.0, 1.0, tol=0.0)
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(QuadratureError) as excinfo:
+                integrate_vector(pair, 0.0, 1.0, tol=tol)
+            np.testing.assert_allclose(excinfo.value.best_estimate, [0.5, 1.0 / 3.0])
         with pytest.raises(QuadratureError):
             integrate_vector(pair, 0.0, 1.0, limit=0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (math.nan, 1.0)],
+    )
+    def test_bounds_must_be_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_vector(lambda x: np.array([x]), a, b)
+
+    def test_integrand_must_return_a_vector(self):
+        with pytest.raises(ValueError, match="1-D array"):
+            integrate_vector(lambda x: x * x, 0.0, 1.0)
+
+
+def assert_matches_quad_vec(f, a, b, tol, limit, points=()):
+    """integrate_vector against scipy.integrate.quad_vec with the same
+    settings: the same integrand calls, values within 1e-14 relative in the
+    max norm and error estimates within 1e-6 relative, on success or
+    failure alike."""
+    from scipy.integrate import quad_vec
+
+    expected, expected_err, info = quad_vec(
+        f, a, b, epsabs=tol, epsrel=tol, norm="max", limit=limit,
+        points=points, full_output=True,
+    )
+    try:
+        values, err, calls = integrate_vector(
+            f, a, b, tol=tol, limit=limit, points=points
+        )
+        assert info.success
+    except QuadratureError as failure:
+        assert not info.success
+        values, err, calls = failure.best_estimate, failure.err_est, info.neval
+    assert calls == info.neval
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(values - expected)) <= 1e-14 * scale
+    assert abs(err - expected_err) <= 1e-6 * expected_err
+
+
+class TestMatchesQuadVec:
+    """integrate_vector is a port of quad_vec's finite-bound scheme."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_known_integrals(self, tol):
+        assert_matches_quad_vec(known_integrals, 0.0, 1.0, tol=tol, limit=200)
+
+    def test_break_point_at_a_kink(self):
+        assert_matches_quad_vec(
+            kink_and_gaussian, -1.0, 1.0, tol=1e-12, limit=200, points=(0.3,)
+        )
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+    def test_kink_without_break_point(self, tol):
+        assert_matches_quad_vec(kink_and_gaussian, -1.0, 1.0, tol=tol, limit=200)
+
+    def test_repeated_and_outside_break_points_are_dropped(self):
+        assert_matches_quad_vec(
+            kink_and_gaussian, -1.0, 1.0, tol=1e-12, limit=200,
+            points=(0.3, 5.0, 0.3, -1.0, -2.0),
+        )
+
+    @pytest.mark.parametrize("limit", [3, 400])
+    def test_failure_at_the_subdivision_limit(self, limit):
+        # At limit 400 the batches reach their cap of 128 intervals.
+        assert_matches_quad_vec(
+            lambda x: np.array([math.sin(1.0 / (x + 1e-3)), x]),
+            0.0, 1.0, tol=1e-15, limit=limit,
+        )
+
+    def test_failure_on_rounding_error(self):
+        # The rule is exact on polynomials, so each error is the rounding floor.
+        assert_matches_quad_vec(
+            lambda x: np.array([x, x * x]), 0.0, 1.0, tol=1e-300, limit=200
+        )
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            PhaseSystem((0.2, 0.3), (-0.1,)),
+            PhaseSystem((0.2, 0.3, 0.25), (0.4, -0.3)),
+            PhaseSystem((0.2, 0.3, 0.25, 0.35, 0.3), (0.5, 0.2, -0.1, -0.4)),
+        ],
+        ids=["two-phase", "three-phase", "five-phase"],
+    )
+    @pytest.mark.parametrize("s", [0.1, 0.4, 0.9])
+    def test_chapman_kolmogorov_integrand(self, system, s, monkeypatch):
+        calls = []
+
+        def recorded(f, a, b, **settings):
+            calls.append((f, a, b, settings))
+            return integrate_vector(f, a, b, **settings)
+
+        monkeypatch.setattr(pde_oracle, "integrate_vector", recorded)
+        grid = pde_oracle.SolverGrid(*pde_oracle._window(system, 1.0))
+        pde_oracle.chapman_kolmogorov_check(system, s, 1.0, grid)
+        [(f, a, b, settings)] = calls
+        assert_matches_quad_vec(f, a, b, **settings)
 
 
 class TestNumericalHessian:

@@ -92,3 +92,14 @@ def test_check_pde_loads_no_quadrature_or_optimizer():
     [loaded] = loaded_after(["check-pde", "--sigma1", "0.2", "--sigma2", "0.3",
                              "--q", "-0.1", "--nx", "201", "--dt", "1e-2"])
     assert "scipy.integrate" not in loaded and "scipy.optimize" not in loaded
+
+
+def test_semigroup_and_identity_checks_load_no_scipy():
+    """check-ck and check-identities run on numpy alone: their quadrature is
+    the in-house vector Gauss-Kronrod rule."""
+    loaded = loaded_after(
+        ["check-ck", "--sigma1", "0.2", "--sigma2", "0.3", "--q", "-0.1",
+         "--s-mid", "0.4", "--t", "1.0"],
+        ["check-identities", "--trials", "2", "--seed", "1"],
+    )
+    assert loaded == [[], []]

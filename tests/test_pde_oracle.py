@@ -330,6 +330,12 @@ class TestIdentityA14:
         lhs, rhs = verify_identity_A14(0.3, 0.5, 2.0)
         assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("alpha, beta, t", [(0.3, 0.5, 2.0), (1.5, 0.05, 0.5)])
+    def test_error_estimate_bounds_the_error(self, alpha, beta, t):
+        lhs, rhs, err_est = pde_oracle._identity_A14(alpha, beta, t)
+        assert (lhs, rhs) == verify_identity_A14(alpha, beta, t)
+        assert abs(lhs - rhs) <= err_est <= 1e-10
+
 
 class TestIdentityA10:
     def test_zero_boundary_gives_pi(self):
@@ -345,6 +351,12 @@ class TestIdentityA10:
     def test_reference_point(self):
         lhs, rhs = verify_identity_A10(0.2, 0.045, 1.0)
         assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
+
+    def test_is_the_a14_case_with_its_error_estimate(self):
+        beta = 0.2 / (2.0 * math.sqrt(0.045))
+        assert pde_oracle._identity_A10(0.2, 0.045, 1.0) == pde_oracle._identity_A14(
+            0.0, beta, 1.0
+        )
 
 
 def test_identities_randomized_triples():
